@@ -12,7 +12,7 @@ import (
 	"repro/internal/physical"
 )
 
-// This file is the parallel evaluation engine. Three independent fan-out
+// This file is the parallel evaluation engine. Two independent fan-out
 // layers share one worker budget (Options.Parallelism):
 //
 //  1. per-query what-if optimization: evalQueriesParallel spreads the
@@ -23,10 +23,10 @@ import (
 //  2. §3.3.2 penalty estimation: precomputeDeltas bounds every untried
 //     candidate's (ΔT, ΔS) concurrently — pure arithmetic except for
 //     singleflighted CBV computations.
-//  3. speculative top-k: while the chosen transformation's child is
-//     evaluated, the runner-up candidates of the same node are evaluated
-//     too; losers park in specCache and are promoted into evalCache only
-//     when a later iteration actually selects them.
+//
+// Each relaxation step evaluates only the configuration the penalty
+// ranking chose (§3.3.2); parallelism shortens that evaluation but never
+// adds evaluations of other configurations.
 //
 // Determinism argument, layer by layer: (1) per-query costs are
 // non-negative, so the serial prefix-abort of §3.5 prunes a
@@ -36,10 +36,7 @@ import (
 // abort uses a relative margin so it can only fire on configurations the
 // deterministic check would prune anyway. (2) candidate deltas are
 // independent math: computing them concurrently changes wall time, not
-// values. (3) a speculative result is keyed by (parent fingerprint,
-// transformation, child fingerprint) and replayed only when the serial
-// decision sequence reaches exactly that step, with the §3.5 cutoff
-// re-applied at consumption time.
+// values.
 
 // atomicFloat is a CAS-looped float64 accumulator for the cooperative
 // §3.5 running cost.
@@ -193,147 +190,6 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) {
 		}
 		node.deltas[tr.ID()] = deltas[i]
 	}
-}
-
-// specCacheKey identifies one speculated relaxation step: the search
-// only replays a cached result when the same transformation is applied
-// to the same parent and yields the same child fingerprint.
-func specCacheKey(parentFP, transID, childFP string) string {
-	return parentFP + "\x00" + transID + "\x00" + childFP
-}
-
-// evaluateStep evaluates cfgNew as a child of node inside the search
-// loop. It first consults the evaluation cache and the speculative side
-// cache (applying the §3.5 cutoff at consumption, exactly as a fresh
-// evaluation would); otherwise it evaluates — with speculative top-k
-// prefetching of the node's runner-up candidates when the session is
-// parallel and a single transformation was chosen.
-func (t *Tuner) evaluateStep(node *searchNode, cfgNew *physical.Configuration, removedIdx, removedViews []string, cutoff float64, ranked []candidate, chosen []*physical.Transformation, seen map[string]bool) (*EvaluatedConfig, bool, error) {
-	fp := cfgNew.Fingerprint()
-	if hit, ok := t.evalCacheGet(fp); ok {
-		return hit, true, nil
-	}
-	if len(chosen) == 1 {
-		key := specCacheKey(node.eval.Config.Fingerprint(), chosen[0].ID(), fp)
-		if ec, ok := t.specCache[key]; ok {
-			delete(t.specCache, key)
-			t.statSpecHits++
-			if cutoff > 0 && !t.Options.DisableShortcut && ec.Cost > cutoff {
-				return nil, false, nil
-			}
-			t.evalCachePut(fp, ec)
-			return ec, true, nil
-		}
-	}
-	if w := t.workers(); w > 1 && len(chosen) == 1 && len(ranked) > 1 {
-		return t.evaluateSpeculative(node, cfgNew, removedIdx, removedViews, cutoff, ranked, chosen[0], seen, w, fp)
-	}
-	ec, ok, err := t.evalQueries(node.eval, cfgNew, removedIdx, removedViews, cutoff)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	t.evalCachePut(fp, ec)
-	return ec, true, nil
-}
-
-// specTask is one runner-up candidate queued for speculative evaluation.
-type specTask struct {
-	key          string
-	cfg          *physical.Configuration
-	removedIdx   []string
-	removedViews []string
-}
-
-// evaluateSpeculative evaluates the chosen child and up to workers-1 of
-// the node's lowest-penalty runner-up candidates concurrently. Each
-// evaluation runs the serial per-query loop so the k evaluations share
-// the worker budget; the chosen child's evaluation (with the live §3.5
-// cutoff) is the returned result, and the losers — evaluated without a
-// cutoff so they stay valid under any future incumbent — park in
-// specCache for later iterations.
-func (t *Tuner) evaluateSpeculative(node *searchNode, cfgNew *physical.Configuration, removedIdx, removedViews []string, cutoff float64, ranked []candidate, chosenTr *physical.Transformation, seen map[string]bool, workers int, fp string) (*EvaluatedConfig, bool, error) {
-	parentFP := node.eval.Config.Fingerprint()
-	var specs []specTask
-	claimed := map[string]bool{fp: true}
-	for _, c := range ranked {
-		if len(specs) >= workers-1 {
-			break
-		}
-		id := c.tr.ID()
-		if id == chosenTr.ID() || node.tried[id] {
-			continue
-		}
-		cfgC := c.tr.Apply(node.eval.Config)
-		fpC := cfgC.Fingerprint()
-		// Skip children the search can never consume: already seen
-		// fingerprints, already evaluated ones, and duplicates within
-		// this speculation round.
-		if claimed[fpC] || seen[fpC] {
-			continue
-		}
-		if _, ok := t.evalCache[fpC]; ok {
-			continue
-		}
-		key := specCacheKey(parentFP, id, fpC)
-		if _, ok := t.specCache[key]; ok {
-			continue
-		}
-		if len(t.specCache)+len(specs) >= specCacheCap {
-			break
-		}
-		claimed[fpC] = true
-		specs = append(specs, specTask{
-			key:          key,
-			cfg:          cfgC,
-			removedIdx:   c.tr.RemovedIndexIDs(),
-			removedViews: c.tr.RemovedViewNames(),
-		})
-	}
-
-	prof := t.Options.Profile
-	var (
-		mainEC  *EvaluatedConfig
-		mainOK  bool
-		mainErr error
-		wg      sync.WaitGroup
-	)
-	specResults := make([]*EvaluatedConfig, len(specs))
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if prof.Enabled() {
-			defer prof.Since("search/evaluate/chosen", time.Now())
-		}
-		mainEC, mainOK, mainErr = t.evalQueriesSerial(node.eval, cfgNew, removedIdx, removedViews, cutoff)
-	}()
-	for si := range specs {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			if prof.Enabled() {
-				defer prof.Since("search/evaluate/speculate", time.Now())
-			}
-			ec, ok, err := t.evalQueriesSerial(node.eval, specs[si].cfg, specs[si].removedIdx, specs[si].removedViews, 0)
-			if err == nil && ok {
-				specResults[si] = ec
-			}
-		}(si)
-	}
-	wg.Wait()
-	for si, ec := range specResults {
-		if ec != nil {
-			t.specCache[specs[si].key] = ec
-			t.statSpecEvals++
-		}
-	}
-	if mainErr != nil {
-		return nil, false, mainErr
-	}
-	if !mainOK {
-		return nil, false, nil
-	}
-	t.evalCachePut(fp, mainEC)
-	return mainEC, true, nil
 }
 
 // optimalConfigurationParallel is the parallel form of the §2 phase:

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/physical"
 	"repro/internal/workloads"
 )
 
@@ -184,50 +184,42 @@ func TestSkylineSweepMatchesQuadratic(t *testing.T) {
 	}
 }
 
-// TestEvalCacheLRUEviction: the bounded cache evicts least-recently-used
-// evaluations and keeps honest hit/miss/eviction counters.
-func TestEvalCacheLRUEviction(t *testing.T) {
-	tn := tpchTuner(t, Options{NoViews: true, Parallelism: 1, EvalCacheCap: 2})
+// TestEvalMemo: a repeated Evaluate is answered from the memo with zero
+// optimizer calls, and a memo that reaches its bound starts over empty.
+func TestEvalMemo(t *testing.T) {
+	tn := tpchTuner(t, Options{NoViews: true, Parallelism: 1})
+	if _, err := tn.Evaluate(tn.Base); err != nil {
+		t.Fatal(err)
+	}
+	calls0 := tn.Opt.Stats().OptimizeCalls
+	if _, err := tn.Evaluate(tn.Base); err != nil {
+		t.Fatal(err)
+	}
+	if tn.Opt.Stats().OptimizeCalls != calls0 {
+		t.Error("memo hit still called the optimizer")
+	}
+	if tn.statEvalHits != 1 || tn.statEvalMisses != 1 {
+		t.Fatalf("hits %d, misses %d; want 1, 1", tn.statEvalHits, tn.statEvalMisses)
+	}
+
+	for i := len(tn.evalMemo); i < evalMemoCap; i++ {
+		tn.evalMemo[fmt.Sprintf("filler-%d", i)] = &EvaluatedConfig{}
+	}
 	optCfg, err := tn.OptimalConfiguration()
 	if err != nil {
 		t.Fatal(err)
 	}
-	trs := physical.Enumerate(optCfg, physical.EnumerateOptions{NoViews: true, HeapTables: tn.heapTables})
-	if len(trs) == 0 {
-		t.Fatal("no transformations to build a third configuration from")
-	}
-	third := trs[0].Apply(optCfg)
-
-	if _, err := tn.Evaluate(tn.Base); err != nil { // miss, cache: [base]
+	if _, err := tn.Evaluate(optCfg); err != nil { // miss on a full memo
 		t.Fatal(err)
 	}
-	if _, err := tn.Evaluate(optCfg); err != nil { // miss, cache: [opt base]
-		t.Fatal(err)
+	if len(tn.evalMemo) != 1 {
+		t.Fatalf("memo holds %d entries after filling up, want 1", len(tn.evalMemo))
 	}
-	if tn.statEvalHits != 0 || tn.statEvalMisses != 2 {
-		t.Fatalf("after 2 cold evaluations: hits %d, misses %d", tn.statEvalHits, tn.statEvalMisses)
+	if _, ok := tn.evalMemo[optCfg.Fingerprint()]; !ok {
+		t.Error("the evaluation that hit the bound was not memoized")
 	}
-	calls0 := tn.Opt.Stats().OptimizeCalls
-	if _, err := tn.Evaluate(tn.Base); err != nil { // hit, base becomes MRU
-		t.Fatal(err)
-	}
-	if tn.Opt.Stats().OptimizeCalls != calls0 {
-		t.Error("cache hit still called the optimizer")
-	}
-	if tn.statEvalHits != 1 {
-		t.Fatalf("hits = %d, want 1", tn.statEvalHits)
-	}
-	if _, err := tn.Evaluate(third); err != nil { // miss, evicts optCfg (LRU)
-		t.Fatal(err)
-	}
-	if tn.statEvalEvicted != 1 {
-		t.Fatalf("evictions = %d, want 1", tn.statEvalEvicted)
-	}
-	if _, ok := tn.evalCache[optCfg.Fingerprint()]; ok {
-		t.Error("least-recently-used entry (optimal config) survived eviction")
-	}
-	if _, ok := tn.evalCache[tn.Base.Fingerprint()]; !ok {
-		t.Error("recently used entry (base config) was evicted")
+	if _, ok := tn.evalMemo[tn.Base.Fingerprint()]; ok {
+		t.Error("memo kept an entry from before it was cleared")
 	}
 }
 

@@ -137,8 +137,7 @@ func (t *Tuner) tune() (*Result, error) {
 	start := time.Now()
 	stats0 := t.Opt.Stats()
 	reused0, reopt0 := t.statPlansReused.Load(), t.statPlansReopt.Load()
-	evalHits0, evalMisses0, evalEvicted0 := t.statEvalHits, t.statEvalMisses, t.statEvalEvicted
-	specEvals0, specHits0 := t.statSpecEvals, t.statSpecHits
+	evalHits0, evalMisses0 := t.statEvalHits, t.statEvalMisses
 	var cache0 CacheStats
 	if t.Options.Cache != nil {
 		cache0 = t.Options.Cache.Stats()
@@ -156,9 +155,6 @@ func (t *Tuner) tune() (*Result, error) {
 	res.Economy.PlansReoptimized = t.statPlansReopt.Load() - reopt0
 	res.Economy.EvalCacheHits = t.statEvalHits - evalHits0
 	res.Economy.EvalCacheMisses = t.statEvalMisses - evalMisses0
-	res.Economy.EvalCacheEvictions = t.statEvalEvicted - evalEvicted0
-	res.Economy.SpeculativeEvals = t.statSpecEvals - specEvals0
-	res.Economy.SpeculativeHits = t.statSpecHits - specHits0
 	if c := t.Options.Cache; c != nil {
 		cs := c.Stats()
 		res.Economy.CacheHits = cs.Hits - cache0.Hits
@@ -167,17 +163,14 @@ func (t *Tuner) tune() (*Result, error) {
 	res.Explain.Calibration = obs.Calibrate(res.CalibSamples, res.Economy)
 	if t.Options.Trace.Enabled() {
 		endTune(obs.F{
-			"best_fp":              res.Best.Config.Fingerprint(),
-			"best_cost":            res.Best.Cost,
-			"best_size":            res.Best.SizeBytes,
-			"improvement_pct":      res.ImprovementPct(),
-			"iterations":           res.Iterations,
-			"parallel_workers":     res.ParallelWorkers,
-			"eval_cache_hits":      res.Economy.EvalCacheHits,
-			"eval_cache_misses":    res.Economy.EvalCacheMisses,
-			"eval_cache_evictions": res.Economy.EvalCacheEvictions,
-			"speculative_evals":    res.Economy.SpeculativeEvals,
-			"speculative_hits":     res.Economy.SpeculativeHits,
+			"best_fp":           res.Best.Config.Fingerprint(),
+			"best_cost":         res.Best.Cost,
+			"best_size":         res.Best.SizeBytes,
+			"improvement_pct":   res.ImprovementPct(),
+			"iterations":        res.Iterations,
+			"parallel_workers":  res.ParallelWorkers,
+			"eval_cache_hits":   res.Economy.EvalCacheHits,
+			"eval_cache_misses": res.Economy.EvalCacheMisses,
 		})
 	} else {
 		endTune(nil)
@@ -461,7 +454,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			cutoff = 0
 		}
 		tEval := time.Now()
-		evalNew, ok, err := t.evaluateStep(node, cfgNew, removedIdx, removedViews, cutoff, ranked, chosen, seen)
+		evalNew, ok, err := t.evaluateIncremental(node.eval, cfgNew, removedIdx, removedViews, cutoff)
 		prof.Since("search/evaluate", tEval)
 		if err != nil {
 			endSearch(obs.F{"error": err.Error()})

@@ -16,7 +16,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"sync"
@@ -71,17 +70,13 @@ type Options struct {
 	ShrinkUnused bool
 
 	// Parallelism is the worker count of the parallel evaluation engine:
-	// per-query what-if optimization, §3.3.2 penalty estimation, and
-	// speculative top-k candidate evaluation all fan out across this many
-	// goroutines. 0 (the default) means runtime.GOMAXPROCS(0); 1 runs the
-	// exact serial algorithm. Any setting produces the same recommendation
-	// (same best configuration, cost, and iteration count) — only wall
-	// time and the optimizer-call economy differ.
+	// per-query what-if optimization and §3.3.2 penalty estimation both
+	// fan out across this many goroutines. 0 (the default) means
+	// runtime.GOMAXPROCS(0); 1 runs the exact serial algorithm. Any
+	// setting produces the same recommendation (same best configuration,
+	// cost, and iteration count) — only wall time and the optimizer calls
+	// a parallel §3.5 shortcut abort completes before stopping differ.
 	Parallelism int
-	// EvalCacheCap bounds the per-session evaluation cache (configuration
-	// fingerprint → evaluation) with LRU eviction. 0 means the default
-	// cap (4096 entries); negative means unbounded.
-	EvalCacheCap int
 
 	// Online/incremental retuning (the internal/service layer).
 
@@ -157,17 +152,11 @@ type Tuner struct {
 	// parallel penalty-estimation workers race for it.
 	cbvMu    sync.Mutex
 	cbvCache map[string]*cbvEntry
-	// evalCache deduplicates configuration evaluations by fingerprint,
-	// bounded by Options.EvalCacheCap with LRU eviction. Only the serial
-	// main line of the search touches it, so its state (and therefore its
-	// eviction order) is identical at every Parallelism setting.
-	evalCache map[string]*list.Element
-	evalLRU   *list.List
-	// specCache holds speculative top-k evaluations keyed by
-	// (parent fingerprint, transformation ID, child fingerprint). Results
-	// are promoted into evalCache only when the search actually selects
-	// the speculated step, so speculation never alters the search path.
-	specCache map[string]*EvaluatedConfig
+	// evalMemo memoizes full configuration evaluations by fingerprint,
+	// cleared whenever it reaches evalMemoCap entries. Only the serial
+	// main line touches it, so its state is identical at every
+	// Parallelism setting.
+	evalMemo map[string]*EvaluatedConfig
 	// demandedBy maps each optimal-fragment structure ("i:"+index ID or
 	// "v:"+view name) to the workload statements whose §2 instrumented
 	// optimization requested it — the provenance half of the explain
@@ -181,13 +170,9 @@ type Tuner struct {
 	// them concurrently.
 	statPlansReused atomic.Int64
 	statPlansReopt  atomic.Int64
-	// Eviction/hit accounting of the bounded evalCache plus speculation
-	// accounting; main-line only, guarded by mu.
-	statEvalHits    int64
-	statEvalMisses  int64
-	statEvalEvicted int64
-	statSpecEvals   int64
-	statSpecHits    int64
+	// Hit/miss accounting of evalMemo; main-line only, guarded by mu.
+	statEvalHits   int64
+	statEvalMisses int64
 }
 
 // cbvEntry singleflights one view's CBV computation.
@@ -197,20 +182,9 @@ type cbvEntry struct {
 	err  error
 }
 
-// evalCacheEntry is one LRU slot of the evaluation cache.
-type evalCacheEntry struct {
-	fp string
-	ec *EvaluatedConfig
-}
-
-// defaultEvalCacheCap bounds the evaluation cache when Options leave
-// EvalCacheCap at zero.
-const defaultEvalCacheCap = 4096
-
-// specCacheCap bounds the speculative-evaluation side cache; losers that
-// are never consumed age out only at session end, so the cap keeps a
-// pathological search from hoarding evaluations.
-const specCacheCap = 512
+// evalMemoCap bounds the evaluation memo; a session that fills it
+// starts over with an empty memo.
+const evalMemoCap = 4096
 
 // NewTuner binds the workload against db and prepares a session. The base
 // configuration (required primary-key indexes) is derived from the
@@ -223,9 +197,7 @@ func NewTuner(db *catalog.Database, w *workloads.Workload, opts Options) (*Tuner
 		Options:    opts,
 		heapTables: datagen.HeapTables(db),
 		cbvCache:   map[string]*cbvEntry{},
-		evalCache:  map[string]*list.Element{},
-		evalLRU:    list.New(),
-		specCache:  map[string]*EvaluatedConfig{},
+		evalMemo:   map[string]*EvaluatedConfig{},
 		demandedBy: map[string][]string{},
 	}
 	for _, q := range w.Queries {
@@ -260,16 +232,8 @@ func (t *Tuner) Evaluate(cfg *physical.Configuration) (*EvaluatedConfig, error) 
 }
 
 func (t *Tuner) evaluate(cfg *physical.Configuration) (*EvaluatedConfig, error) {
-	fp := cfg.Fingerprint()
-	if hit, ok := t.evalCacheGet(fp); ok {
-		return hit, nil
-	}
-	ec, _, err := t.evalQueries(nil, cfg, nil, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	t.evalCachePut(fp, ec)
-	return ec, nil
+	ec, _, err := t.evaluateIncremental(nil, cfg, nil, nil, 0)
+	return ec, err
 }
 
 // EvaluateIncremental evaluates cfg reusing the parent's plans for every
@@ -284,16 +248,23 @@ func (t *Tuner) EvaluateIncremental(parent *EvaluatedConfig, cfg *physical.Confi
 	return t.evaluateIncremental(parent, cfg, removedIdx, removedViews, cutoff)
 }
 
+// evaluateIncremental consults the evaluation memo before evaluating; a
+// memoized configuration is returned as is, without re-applying cutoff.
 func (t *Tuner) evaluateIncremental(parent *EvaluatedConfig, cfg *physical.Configuration, removedIdx, removedViews []string, cutoff float64) (*EvaluatedConfig, bool, error) {
 	fp := cfg.Fingerprint()
-	if hit, ok := t.evalCacheGet(fp); ok {
-		return hit, true, nil
+	if ec, ok := t.evalMemo[fp]; ok {
+		t.statEvalHits++
+		return ec, true, nil
 	}
+	t.statEvalMisses++
 	ec, ok, err := t.evalQueries(parent, cfg, removedIdx, removedViews, cutoff)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	t.evalCachePut(fp, ec)
+	if len(t.evalMemo) >= evalMemoCap {
+		clear(t.evalMemo)
+	}
+	t.evalMemo[fp] = ec
 	return ec, true, nil
 }
 
@@ -372,47 +343,6 @@ func (o Options) Workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// evalCacheGet looks up a configuration evaluation, refreshing its LRU
-// position. Callers hold t.mu.
-func (t *Tuner) evalCacheGet(fp string) (*EvaluatedConfig, bool) {
-	if el, ok := t.evalCache[fp]; ok {
-		t.evalLRU.MoveToFront(el)
-		t.statEvalHits++
-		return el.Value.(*evalCacheEntry).ec, true
-	}
-	t.statEvalMisses++
-	return nil, false
-}
-
-// evalCachePut inserts an evaluation, evicting the least recently used
-// entries beyond the cap. Callers hold t.mu.
-func (t *Tuner) evalCachePut(fp string, ec *EvaluatedConfig) {
-	if el, ok := t.evalCache[fp]; ok {
-		el.Value.(*evalCacheEntry).ec = ec
-		t.evalLRU.MoveToFront(el)
-		return
-	}
-	t.evalCache[fp] = t.evalLRU.PushFront(&evalCacheEntry{fp: fp, ec: ec})
-	cap := t.evalCacheCap()
-	for cap > 0 && t.evalLRU.Len() > cap {
-		back := t.evalLRU.Back()
-		t.evalLRU.Remove(back)
-		delete(t.evalCache, back.Value.(*evalCacheEntry).fp)
-		t.statEvalEvicted++
-	}
-}
-
-func (t *Tuner) evalCacheCap() int {
-	switch c := t.Options.EvalCacheCap; {
-	case c == 0:
-		return defaultEvalCacheCap
-	case c < 0:
-		return 0 // unbounded
-	default:
-		return c
-	}
 }
 
 // usesAny reports whether the query result reads any of the removed

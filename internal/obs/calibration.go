@@ -42,18 +42,11 @@ type WhatIfEconomy struct {
 	// cache (zero unless Options.Cache is set).
 	CacheHits       int64 `json:"cache_hits,omitempty"`
 	CacheCallsSaved int64 `json:"cache_calls_saved,omitempty"`
-	// Bounded evaluation-cache accounting: full-configuration evaluations
-	// answered from the fingerprint-keyed LRU cache, the misses that had
-	// to evaluate, and the entries evicted by the cap.
-	EvalCacheHits      int64 `json:"eval_cache_hits,omitempty"`
-	EvalCacheMisses    int64 `json:"eval_cache_misses,omitempty"`
-	EvalCacheEvictions int64 `json:"eval_cache_evictions,omitempty"`
-	// Speculative top-k accounting (parallel sessions only):
-	// SpeculativeEvals counts runner-up candidate configurations
-	// evaluated ahead of need; SpeculativeHits counts the ones a later
-	// iteration actually consumed.
-	SpeculativeEvals int64 `json:"speculative_evals,omitempty"`
-	SpeculativeHits  int64 `json:"speculative_hits,omitempty"`
+	// Evaluation-memo accounting: full-configuration evaluations
+	// answered from the session's fingerprint-keyed memo, and the misses
+	// that had to evaluate.
+	EvalCacheHits   int64 `json:"eval_cache_hits,omitempty"`
+	EvalCacheMisses int64 `json:"eval_cache_misses,omitempty"`
 }
 
 // ReuseRatio is the fraction of per-query evaluations that reused the

@@ -37,17 +37,6 @@ type TunerMetrics struct {
 	CacheHits        *Counter
 	CacheMisses      *Counter
 
-	// Bounded evaluation-cache economy, fed from the "tune" span-end
-	// event: hits/misses of the fingerprint-keyed LRU plus entries
-	// evicted by the cap.
-	EvalCacheHits      *Counter
-	EvalCacheMisses    *Counter
-	EvalCacheEvictions *Counter
-	// Speculative top-k economy (parallel sessions): evaluations made
-	// ahead of need and the ones later iterations consumed.
-	SpeculativeEvals *Counter
-	SpeculativeHits  *Counter
-
 	// Flight-recorder live series, fed from evaluation events:
 	// FrontierSpace is the size of the configuration the search last
 	// visited, BudgetGap is how far that configuration sits above the
@@ -152,16 +141,6 @@ func NewTunerMetricsWith(reg *Registry, buckets TunerMetricsBuckets) *TunerMetri
 			"Per-statement optimal-fragment cache hits."),
 		CacheMisses: reg.NewCounter("tuner_fragment_cache_misses_total",
 			"Per-statement optimal-fragment cache misses."),
-		EvalCacheHits: reg.NewCounter("tuner_eval_cache_hits_total",
-			"Configuration evaluations answered from the bounded evaluation cache."),
-		EvalCacheMisses: reg.NewCounter("tuner_eval_cache_misses_total",
-			"Configuration evaluations not present in the evaluation cache."),
-		EvalCacheEvictions: reg.NewCounter("tuner_eval_cache_evictions_total",
-			"Evaluation-cache entries evicted by the LRU cap."),
-		SpeculativeEvals: reg.NewCounter("tuner_speculative_evals_total",
-			"Runner-up candidate configurations evaluated speculatively."),
-		SpeculativeHits: reg.NewCounter("tuner_speculative_hits_total",
-			"Speculative evaluations consumed by a later search iteration."),
 		FrontierSpace: reg.NewGauge("tuner_frontier_space_bytes",
 			"Size of the configuration the relaxation search last visited."),
 		BudgetGap: reg.NewGauge("tuner_budget_gap_bytes",
@@ -244,15 +223,6 @@ func (s *metricsSink) Emit(e Event) {
 			if calls := fieldFloat(e.Fields, "optimizer_calls"); calls > 0 {
 				m.PhaseOptimizerCalls.Add(e.Phase, calls)
 			}
-		}
-		// The session-level cache/speculation economy rides on the "tune"
-		// span's closing fields.
-		if e.Phase == "tune" {
-			m.EvalCacheHits.Add(fieldFloat(e.Fields, "eval_cache_hits"))
-			m.EvalCacheMisses.Add(fieldFloat(e.Fields, "eval_cache_misses"))
-			m.EvalCacheEvictions.Add(fieldFloat(e.Fields, "eval_cache_evictions"))
-			m.SpeculativeEvals.Add(fieldFloat(e.Fields, "speculative_evals"))
-			m.SpeculativeHits.Add(fieldFloat(e.Fields, "speculative_hits"))
 		}
 	}
 }

@@ -285,3 +285,27 @@ func TestMonitorRuleFiresOverHTTP(t *testing.T) {
 		t.Fatalf("transitions: %+v", alerts.Transitions)
 	}
 }
+
+// TestDefaultAlertRulesQuietWhenHealthy: a service that ingests a steady
+// workload and retunes it once a minute fires none of the default rules.
+func TestDefaultAlertRulesQuietWhenHealthy(t *testing.T) {
+	svc := newTestService(t, Options{Monitor: MonitorOptions{HistoryInterval: 10 * time.Second}})
+	for step := 0; step <= 12; step++ {
+		now := monT0.Add(time.Duration(step) * 30 * time.Second)
+		if step%2 == 0 {
+			svc.Ingest(repeat(phase1, 2))
+			if _, err := svc.Retune(); err != nil {
+				t.Fatalf("retune at %v: %v", now, err)
+			}
+		}
+		svc.History().Sample(now)
+		svc.Alerts().Evaluate(now)
+	}
+	if st := svc.Alerts().Status(); st.Firing != 0 {
+		for _, r := range st.Rules {
+			if r.State == obs.AlertStateFiring {
+				t.Errorf("rule %s firing on a healthy service", r.Rule.Name)
+			}
+		}
+	}
+}

@@ -396,6 +396,24 @@ func (s *Service) checkDrift(origin string) DriftReport {
 	return rep
 }
 
+// bindableSnapshot snapshots the window without the statements that
+// parse but do not bind against the catalog (an unknown column, say),
+// reporting each through Warnf: a bad statement costs itself, not every
+// retune while it stays in the window.
+func (s *Service) bindableSnapshot() *workloads.Workload {
+	snap := s.window.Snapshot()
+	kept := make([]*workloads.Query, 0, len(snap.Queries))
+	for _, q := range snap.Queries {
+		if _, err := optimizer.Bind(s.db, q.Stmt); err != nil {
+			s.warnf("service: retune: skipping %s (%s): %v", q.ID, q.SQL, err)
+			continue
+		}
+		kept = append(kept, q)
+	}
+	snap.Queries = kept
+	return snap
+}
+
 // windowCostPerWeight prices the window under the current recommendation,
 // reusing the per-statement costs recorded at retune time; only
 // statements unseen since the last retune cost an optimizer call — and
@@ -490,7 +508,7 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	s.tuneMu.Lock()
 	defer s.tuneMu.Unlock()
 
-	snap := s.window.Snapshot()
+	snap := s.bindableSnapshot()
 	if len(snap.Queries) == 0 {
 		return nil, ErrEmptyWindow
 	}

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,5 +237,38 @@ func TestRetuneEmptyWindow(t *testing.T) {
 	s := newTestService(t, Options{})
 	if _, err := s.Retune(); err != ErrEmptyWindow {
 		t.Fatalf("got %v, want ErrEmptyWindow", err)
+	}
+}
+
+// TestRetuneSkipsUnbindableStatement: a statement that parses but does
+// not bind is accepted at ingest, then skipped (and reported) by every
+// retune, which recommends exactly what the window without it would.
+func TestRetuneSkipsUnbindableStatement(t *testing.T) {
+	var warnings []string
+	poisoned := newTestService(t, Options{Warnf: func(format string, args ...any) {
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+	}})
+	bad := `SELECT nope FROM lineitem`
+	if res := poisoned.Ingest(append(append([]string{}, phase1...), bad)); res.Accepted != len(phase1)+1 || res.Rejected != 0 {
+		t.Fatalf("ingest: %+v", res)
+	}
+	got, err := poisoned.Retune()
+	if err != nil {
+		t.Fatalf("retune with an unbindable statement: %v", err)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], bad) || !strings.Contains(warnings[0], `unknown column "nope"`) {
+		t.Fatalf("warnings: %q", warnings)
+	}
+
+	clean := newTestService(t, Options{})
+	clean.Ingest(phase1)
+	want, err := clean.Retune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Statements != want.Statements || got.Cost != want.Cost || got.SizeBytes != want.SizeBytes ||
+		got.DDL != want.DDL {
+		t.Fatalf("poisoned window recommends %d stmts cost %v size %d\n%s\nclean window %d stmts cost %v size %d\n%s",
+			got.Statements, got.Cost, got.SizeBytes, got.DDL, want.Statements, want.Cost, want.SizeBytes, want.DDL)
 	}
 }

@@ -216,7 +216,7 @@ func (l *LikeExpr) String() string {
 	if l.Negated {
 		not = "NOT "
 	}
-	return fmt.Sprintf("%s %sLIKE '%s'", l.Col, not, l.Pattern)
+	return fmt.Sprintf("%s %sLIKE %s", l.Col, not, Str(l.Pattern))
 }
 
 // Columns implements Expr.
@@ -480,7 +480,9 @@ func (u *UpdateStmt) SQL() string {
 	return sb.String()
 }
 
-// InsertStmt is INSERT INTO table VALUES (...), possibly multi-row.
+// InsertStmt is INSERT INTO table VALUES (...), possibly multi-row. Only
+// the number of tuples is kept: the tuner costs an insert by its row
+// count, never by the inserted values.
 type InsertStmt struct {
 	Table TableRef
 	Rows  int // number of VALUES tuples
@@ -489,9 +491,10 @@ type InsertStmt struct {
 // Kind implements Statement.
 func (i *InsertStmt) Kind() StmtKind { return StmtInsert }
 
-// SQL implements Statement.
+// SQL implements Statement. Each tuple renders as (DEFAULT), which parses
+// back to the same row count.
 func (i *InsertStmt) SQL() string {
-	return fmt.Sprintf("INSERT INTO %s VALUES <%d rows>", i.Table, i.Rows)
+	return "INSERT INTO " + i.Table.String() + " VALUES " + strings.TrimSuffix(strings.Repeat("(DEFAULT), ", i.Rows), ", ")
 }
 
 // DeleteStmt is DELETE FROM table WHERE pred.

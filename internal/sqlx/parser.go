@@ -395,16 +395,28 @@ func (p *Parser) parseNot() (Expr, error) {
 }
 
 func (p *Parser) parsePredicate() (Expr, error) {
-	if p.accept(TokSymbol, "(") {
+	if start := p.pos; p.accept(TokSymbol, "(") {
 		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = p.expectSymbolErr(")")
 		}
-		if err := p.expectSymbolErr(")"); err != nil {
-			return nil, err
+		if err == nil {
+			return e, nil
 		}
-		return e, nil
+		// Not a parenthesized predicate: retry the parenthesis as the
+		// arithmetic operand of a comparison, as in (a + b) > 5.
+		p.pos = start
+		if e, aerr := p.parseComparison(); aerr == nil {
+			return e, nil
+		}
+		return nil, err
 	}
+	return p.parseComparison()
+}
+
+// parseComparison parses a comparison, or a BETWEEN / IN / LIKE test of a
+// bare column.
+func (p *Parser) parseComparison() (Expr, error) {
 	l, err := p.parseArith()
 	if err != nil {
 		return nil, err

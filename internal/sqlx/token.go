@@ -98,6 +98,16 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			l.pos++
 		}
+		// A signed exponent (1e+06, 2.5E-05), the form numbers render
+		// in; an unsigned one (1e5) still lexes as a number and an
+		// identifier.
+		if rest := l.src[l.pos:]; len(rest) >= 3 && (rest[0] == 'e' || rest[0] == 'E') &&
+			(rest[1] == '+' || rest[1] == '-') && rest[2] >= '0' && rest[2] <= '9' {
+			l.pos += 3
+			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
+				l.pos++
+			}
+		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'':
 		l.pos++

@@ -1,6 +1,9 @@
 package sqlx
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTokenizeBasics(t *testing.T) {
 	toks, err := Tokenize("SELECT a, b FROM t WHERE a >= 10.5 AND b <> 'x''y'")
@@ -74,6 +77,30 @@ func TestTokenizeUnderscoreIdents(t *testing.T) {
 	for _, tok := range toks {
 		if tok.Kind != TokIdent {
 			t.Errorf("%q should be an identifier, got %v", tok.Text, tok.Kind)
+		}
+	}
+}
+
+// TestTokenizeSignedExponent: a signed exponent is part of the number;
+// an unsigned one still lexes as a number followed by an identifier, so
+// statements that parsed before keep their meaning (1e5 is 1 AS e5).
+func TestTokenizeSignedExponent(t *testing.T) {
+	for src, want := range map[string][]string{
+		"1e+06":   {"1e+06"},
+		"2.5E-05": {"2.5E-05"},
+		"1e5":     {"1", "e5"},
+		"1e+":     {"1", "e", "+"},
+	} {
+		toks, err := Tokenize(src)
+		if err != nil {
+			t.Fatalf("tokenize %q: %v", src, err)
+		}
+		var got []string
+		for _, tok := range toks {
+			got = append(got, tok.Text)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("tokenize %q = %q, want %q", src, got, want)
 		}
 	}
 }
