@@ -117,10 +117,11 @@ func (c *RequestCache) Len() int {
 	return len(c.frags)
 }
 
-// lookup returns an independent copy of the cached fragment for key,
-// attributing the hit or miss to origin. A hit on an entry stored by a
-// different origin additionally counts as a shared hit.
-func (c *RequestCache) lookup(key, origin string) (*physical.Configuration, bool) {
+// lookup returns an independent copy of the cached fragment for key
+// plus the optimizer calls the hit saves, attributing the hit or miss
+// to origin. A hit on an entry stored by a different origin
+// additionally counts as a shared hit.
+func (c *RequestCache) lookup(key, origin string) (*physical.Configuration, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	os := c.originLocked(origin)
@@ -128,7 +129,7 @@ func (c *RequestCache) lookup(key, origin string) (*physical.Configuration, bool
 	if !ok {
 		c.misses++
 		os.Misses++
-		return nil, false
+		return nil, 0, false
 	}
 	c.hits++
 	os.Hits++
@@ -137,7 +138,7 @@ func (c *RequestCache) lookup(key, origin string) (*physical.Configuration, bool
 		os.SharedHits++
 	}
 	c.callsSaved += e.calls
-	return deepCloneConfig(e.cfg), true
+	return deepCloneConfig(e.cfg), e.calls, true
 }
 
 // store records the fragment derived for key at a cost of calls optimizer

@@ -152,20 +152,13 @@ func (t *Tuner) OptimalForQuery(tq *TunedQuery) (*physical.Configuration, *optim
 }
 
 func (t *Tuner) optimalForQuery(tq *TunedQuery) (*physical.Configuration, *optimizer.QueryResult, error) {
-	return t.optimalForQueryOn(t.Opt, tq)
-}
-
-// optimalForQueryOn is optimalForQuery against an explicit optimizer:
-// hooks are per-optimizer state, so the parallel §2 phase gives every
-// worker its own fork and routes each query through it.
-func (t *Tuner) optimalForQueryOn(opt *optimizer.Optimizer, tq *TunedQuery) (*physical.Configuration, *optimizer.QueryResult, error) {
 	defer t.Options.Profile.StartAlloc("optimal-config/instrument")()
 	work := t.Base.Clone()
 	ic := t.newInterceptor(work)
-	opt.SetHooks(ic.hooks())
-	defer opt.SetHooks(nil)
+	t.Opt.SetHooks(ic.hooks())
+	defer t.Opt.SetHooks(nil)
 
-	res, err := opt.OptimizeFull(tq.Bound, work)
+	res, err := t.Opt.OptimizeFull(tq.Bound, work)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: instrumented optimization of %s: %w", tq.Query.ID, err)
 	}
@@ -206,27 +199,32 @@ func (t *Tuner) optimalForQueryOn(opt *optimizer.Optimizer, tq *TunedQuery) (*ph
 func (t *Tuner) OptimalConfiguration() (*physical.Configuration, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.optimalConfiguration()
+	return t.optimalConfiguration(&obs.WhatIfEconomy{})
 }
 
 // optimalConfiguration consults Options.Cache when present: statements
 // whose fragment was derived by an earlier session reuse it without any
-// optimizer calls (the warm-start fast path of the online retuner).
-func (t *Tuner) optimalConfiguration() (*physical.Configuration, error) {
-	if w := t.workers(); w > 1 && len(t.Queries) > 1 {
-		return t.optimalConfigurationParallel(w)
-	}
+// optimizer calls (the warm-start fast path of the online retuner). The
+// lookups are counted on econ as they happen, so a session's cache
+// hits stay its own even when other sessions share the cache.
+func (t *Tuner) optimalConfiguration(econ *obs.WhatIfEconomy) (*physical.Configuration, error) {
 	union := t.Base.Clone()
 	cache := t.Options.Cache
 	trace := t.Options.Trace
 	clear(t.demandedBy)
 	for _, tq := range t.Queries {
 		var frag *physical.Configuration
+		var key string
 		cached := false
 		if cache != nil {
-			if hit, ok := cache.lookup(t.cacheKey(tq), t.Options.CacheOrigin); ok {
-				frag = hit
-				cached = true
+			key = t.cacheKey(tq)
+			hit, saved, ok := cache.lookup(key, t.Options.CacheOrigin)
+			if ok {
+				frag, cached = hit, true
+				econ.CacheHits++
+				econ.CacheCallsSaved += saved
+			} else {
+				econ.CacheMisses++
 			}
 			if trace.Enabled() {
 				trace.Emit(obs.EvCache, obs.F{"hit": cached, "query": tq.Query.ID})
@@ -240,7 +238,7 @@ func (t *Tuner) optimalConfiguration() (*physical.Configuration, error) {
 			}
 			frag = f
 			if cache != nil {
-				cache.store(t.cacheKey(tq), f, t.Opt.Stats().OptimizeCalls-before, t.Options.CacheOrigin)
+				cache.store(key, f, t.Opt.Stats().OptimizeCalls-before, t.Options.CacheOrigin)
 			}
 		}
 		if trace.Enabled() {
@@ -280,7 +278,7 @@ func (t *Tuner) RequestCounts() (indexReqs, viewReqs int64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	before := t.Opt.Stats()
-	if _, err := t.optimalConfiguration(); err != nil {
+	if _, err := t.optimalConfiguration(&obs.WhatIfEconomy{}); err != nil {
 		return 0, 0, err
 	}
 	after := t.Opt.Stats()

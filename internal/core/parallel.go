@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/physical"
 )
@@ -190,92 +189,4 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) {
 		}
 		node.deltas[tr.ID()] = deltas[i]
 	}
-}
-
-// optimalConfigurationParallel is the parallel form of the §2 phase:
-// each worker derives per-query optimal fragments on its own forked
-// optimizer (hooks are per-optimizer state), then the fragments are
-// merged — and trace events emitted — in query order on the calling
-// goroutine, so the resulting configuration and the explain provenance
-// are identical to the serial phase.
-func (t *Tuner) optimalConfigurationParallel(workers int) (*physical.Configuration, error) {
-	cache := t.Options.Cache
-	trace := t.Options.Trace
-	n := len(t.Queries)
-	if workers > n {
-		workers = n
-	}
-	type fragOut struct {
-		frag   *physical.Configuration
-		cached bool
-		err    error
-	}
-	outs := make([]fragOut, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	forks := make([]*optimizer.Optimizer, workers)
-	for w := 0; w < workers; w++ {
-		forks[w] = t.Opt.Fork()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			opt := forks[w]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				tq := t.Queries[i]
-				if cache != nil {
-					if hit, ok := cache.lookup(t.cacheKey(tq), t.Options.CacheOrigin); ok {
-						outs[i] = fragOut{frag: hit, cached: true}
-						continue
-					}
-				}
-				before := opt.Stats().OptimizeCalls
-				frag, _, err := t.optimalForQueryOn(opt, tq)
-				if err != nil {
-					outs[i] = fragOut{err: err}
-					continue
-				}
-				if cache != nil {
-					cache.store(t.cacheKey(tq), frag, opt.Stats().OptimizeCalls-before, t.Options.CacheOrigin)
-				}
-				outs[i] = fragOut{frag: frag}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, fork := range forks {
-		t.Opt.AddStats(fork.Stats())
-	}
-
-	union := t.Base.Clone()
-	clear(t.demandedBy)
-	for i, tq := range t.Queries {
-		o := outs[i]
-		if o.err != nil {
-			return nil, o.err
-		}
-		if cache != nil && trace.Enabled() {
-			trace.Emit(obs.EvCache, obs.F{"hit": o.cached, "query": tq.Query.ID})
-		}
-		if trace.Enabled() {
-			trace.Emit(obs.EvFragment, obs.F{
-				"query":   tq.Query.ID,
-				"cached":  o.cached,
-				"indexes": o.frag.NumIndexes(),
-				"views":   o.frag.NumViews(),
-			})
-		}
-		for _, v := range o.frag.Views() {
-			union.AddView(v)
-			t.demand("v:"+v.Name, tq.Query.ID)
-		}
-		for _, ix := range o.frag.Indexes() {
-			union.AddIndex(ix)
-			t.demand("i:"+ix.ID(), tq.Query.ID)
-		}
-	}
-	return union, nil
 }

@@ -46,7 +46,12 @@ type Result struct {
 	OptimizerCalls int64
 	IndexRequests  int64
 	ViewRequests   int64
-	Elapsed        time.Duration
+	// PhaseOptimizerCalls attributes OptimizerCalls to the session's
+	// top-level phases (evaluate-initial, optimal-config,
+	// evaluate-optimal, warm-start, search); a phase that made no call
+	// is absent.
+	PhaseOptimizerCalls map[string]int64
+	Elapsed             time.Duration
 	// Explain is the per-structure decision log: which statements
 	// demanded each structure, which transformations touched it along
 	// the winning lineage, and why the final state won. Always built;
@@ -138,10 +143,6 @@ func (t *Tuner) tune() (*Result, error) {
 	stats0 := t.Opt.Stats()
 	reused0, reopt0 := t.statPlansReused.Load(), t.statPlansReopt.Load()
 	evalHits0, evalMisses0 := t.statEvalHits, t.statEvalMisses
-	var cache0 CacheStats
-	if t.Options.Cache != nil {
-		cache0 = t.Options.Cache.Stats()
-	}
 	endTune := t.span("tune")
 	res, err := t.runSearch(start)
 	if err != nil {
@@ -155,11 +156,6 @@ func (t *Tuner) tune() (*Result, error) {
 	res.Economy.PlansReoptimized = t.statPlansReopt.Load() - reopt0
 	res.Economy.EvalCacheHits = t.statEvalHits - evalHits0
 	res.Economy.EvalCacheMisses = t.statEvalMisses - evalMisses0
-	if c := t.Options.Cache; c != nil {
-		cs := c.Stats()
-		res.Economy.CacheHits = cs.Hits - cache0.Hits
-		res.Economy.CacheCallsSaved = cs.CallsSaved - cache0.CallsSaved
-	}
 	res.Explain.Calibration = obs.Calibrate(res.CalibSamples, res.Economy)
 	if t.Options.Trace.Enabled() {
 		endTune(obs.F{
@@ -202,7 +198,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		prog.Report(ev)
 	}
 
-	endPhase := t.phase("evaluate-initial")
+	endPhase := t.phase(res, "evaluate-initial")
 	initial, err := t.evaluate(t.Base)
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
@@ -217,15 +213,15 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		})
 	}
 
-	endPhase = t.phase("optimal-config")
-	optimalCfg, err := t.optimalConfiguration()
+	endPhase = t.phase(res, "optimal-config")
+	optimalCfg, err := t.optimalConfiguration(&res.Economy)
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
 		return nil, err
 	}
 	endPhase(obs.F{"indexes": optimalCfg.NumIndexes(), "views": optimalCfg.NumViews()})
 
-	endPhase = t.phase("evaluate-optimal")
+	endPhase = t.phase(res, "evaluate-optimal")
 	optimal, err := t.evaluate(optimalCfg)
 	if err != nil {
 		endPhase(obs.F{"error": err.Error()})
@@ -293,7 +289,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	// configuration are re-optimized, so a warm start over a repeat-heavy
 	// workload costs only a handful of optimizer calls.
 	if ws := t.Options.WarmStart; ws != nil {
-		endPhase = t.phase("warm-start")
+		endPhase = t.phase(res, "warm-start")
 		warmCfg := ws.Clone()
 		for _, ix := range t.Base.Indexes() {
 			warmCfg.AddIndex(ix)
@@ -339,7 +335,27 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 	}
 	last := root
 
-	endSearch := t.phase("search")
+	// step publishes one search iteration's outcome: ec is the
+	// configuration the iteration ends on (the new child when evaluated,
+	// the relaxed node otherwise).
+	step := func(outcome string, ec *EvaluatedConfig, trans string, penalty float64, pruned int) {
+		if !prog.Enabled() {
+			return
+		}
+		ev := obs.ProgressEvent{
+			Phase: "search", Outcome: outcome,
+			SizeBytes: ec.SizeBytes, Cost: ec.Cost,
+			Fits: fits(ec), PoolSize: len(pool),
+			Transformation: trans, Penalty: penalty,
+			CandidatesPruned: pruned,
+		}
+		if cbest != nil {
+			ev.BestCost = cbest.Cost
+		}
+		report(ev)
+	}
+
+	endSearch := t.phase(res, "search")
 	for iter := 0; iter < maxIter; iter++ {
 		if t.Options.TimeBudget > 0 && time.Since(start) > t.Options.TimeBudget {
 			if trace.Enabled() {
@@ -369,6 +385,8 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		tRank := time.Now()
 		ranked, skyPruned := t.rankTransformations(node, effBudget, hasUpdates)
 		prof.Since("search/rank", tRank)
+		res.Economy.CandidatesRanked += int64(len(ranked))
+		res.Economy.SkylinePruned += int64(len(skyPruned))
 		if trace.Enabled() {
 			trace.Emit(obs.EvCandidates, candidateFields(iter, ranked, skyPruned))
 		}
@@ -379,18 +397,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			if trace.Enabled() {
 				trace.Emit(obs.EvSkip, obs.F{"reason": "exhausted", "iter": iter})
 			}
-			if prog.Enabled() {
-				ev := obs.ProgressEvent{
-					Phase: "search", Outcome: "exhausted",
-					SizeBytes: node.eval.SizeBytes, Cost: node.eval.Cost,
-					Fits: fits(node.eval), PoolSize: len(pool),
-					CandidatesPruned: len(skyPruned),
-				}
-				if cbest != nil {
-					ev.BestCost = cbest.Cost
-				}
-				report(ev)
-			}
+			step("exhausted", node.eval, "", 0, len(skyPruned))
 			continue
 		}
 		chosen := t.selectNonConflicting(ranked)
@@ -425,19 +432,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			if trace.Enabled() {
 				trace.Emit(obs.EvSkip, obs.F{"reason": "duplicate", "iter": iter, "fp": fp})
 			}
-			if prog.Enabled() {
-				ev := obs.ProgressEvent{
-					Phase: "search", Outcome: "duplicate",
-					SizeBytes: node.eval.SizeBytes, Cost: node.eval.Cost,
-					Fits: fits(node.eval), PoolSize: len(pool),
-					Transformation: transLabel, Penalty: ranked[0].penalty,
-					CandidatesPruned: len(skyPruned),
-				}
-				if cbest != nil {
-					ev.BestCost = cbest.Cost
-				}
-				report(ev)
-			}
+			step("duplicate", node.eval, transLabel, ranked[0].penalty, len(skyPruned))
 			continue
 		}
 		seen[fp] = true
@@ -466,19 +461,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			if trace.Enabled() {
 				trace.Emit(obs.EvSkip, obs.F{"reason": "shortcut", "iter": iter, "fp": fp, "cutoff": cutoff})
 			}
-			if prog.Enabled() {
-				ev := obs.ProgressEvent{
-					Phase: "search", Outcome: "shortcut",
-					SizeBytes: node.eval.SizeBytes, Cost: node.eval.Cost,
-					Fits: fits(node.eval), PoolSize: len(pool),
-					Transformation: transLabel, Penalty: ranked[0].penalty,
-					CandidatesPruned: len(skyPruned),
-				}
-				if cbest != nil {
-					ev.BestCost = cbest.Cost
-				}
-				report(ev)
-			}
+			step("shortcut", node.eval, transLabel, ranked[0].penalty, len(skyPruned))
 			continue
 		}
 		if t.Options.ShrinkUnused {
@@ -539,19 +522,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 			}
 			trace.Emit(obs.EvEval, f)
 		}
-		if prog.Enabled() {
-			ev := obs.ProgressEvent{
-				Phase: "search", Outcome: "evaluated",
-				SizeBytes: evalNew.SizeBytes, Cost: evalNew.Cost,
-				Fits: fits(evalNew), PoolSize: len(pool),
-				Transformation: transLabel, Penalty: ranked[0].penalty,
-				CandidatesPruned: len(skyPruned),
-			}
-			if cbest != nil {
-				ev.BestCost = cbest.Cost
-			}
-			report(ev)
-		}
+		step("evaluated", evalNew, transLabel, ranked[0].penalty, len(skyPruned))
 		last = child
 	}
 	endSearch(obs.F{"iterations": res.Iterations, "pool": len(pool), "evaluated": len(res.Frontier)})

@@ -401,20 +401,23 @@ func (t *Tuner) span(phase string) func(extra obs.F) {
 // phase opens a combined trace span and profiler phase of the same
 // name. The closer stamps the trace as span does, records wall time
 // plus the heap-allocation delta under the profiler phase, and
-// attributes the phase's optimizer calls to it. With both observers
-// disabled the cost is two pointer checks.
-func (t *Tuner) phase(name string) func(extra obs.F) {
+// attributes the phase's optimizer calls to it, on the profiler and,
+// when res is non-nil, on res.PhaseOptimizerCalls.
+func (t *Tuner) phase(res *Result, name string) func(extra obs.F) {
 	endSpan := t.span(name)
 	p := t.Options.Profile
-	if !p.Enabled() {
-		return endSpan
-	}
 	before := t.Opt.Stats().OptimizeCalls
 	endProf := p.StartAlloc(name)
 	return func(extra obs.F) {
 		endProf()
 		if calls := t.Opt.Stats().OptimizeCalls - before; calls > 0 {
 			p.Add(name, "optimizer_calls", float64(calls))
+			if res != nil {
+				if res.PhaseOptimizerCalls == nil {
+					res.PhaseOptimizerCalls = map[string]int64{}
+				}
+				res.PhaseOptimizerCalls[name] += calls
+			}
 		}
 		endSpan(extra)
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -102,6 +105,75 @@ func TestRequestCachePartialHit(t *testing.T) {
 	}
 	if s.Entries != 4 {
 		t.Errorf("got %d cache entries, want 4", s.Entries)
+	}
+}
+
+// TestSharedCacheSessionAccounting: sessions that share one request
+// cache and tune concurrently (the fleet case) must each report only
+// their own fragment-cache activity. Every session's economy has to
+// match the cached/uncached fragments its own trace records, and the
+// sessions together must account for every hit and saved call the
+// cache counted.
+func TestSharedCacheSessionAccounting(t *testing.T) {
+	db := datagen.TPCH(0.001)
+	cache := NewRequestCache()
+	sessions := []*workloads.Workload{
+		wsWorkload(t),
+		wsWorkload(t, `SELECT s_name, s_acctbal FROM supplier WHERE s_acctbal > 5000`),
+	}
+	const rounds = 8
+	var mu sync.Mutex
+	var hits, saved int64
+	var wg sync.WaitGroup
+	for g, w := range sessions {
+		wg.Add(1)
+		go func(g int, w *workloads.Workload) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				mem := obs.NewMemorySink()
+				tn, err := NewTuner(db, w, Options{
+					Cache: cache, CacheOrigin: fmt.Sprint("tenant-", g),
+					NoViews: true, SpaceBudget: 1 << 20, MaxIterations: 2, Parallelism: 1,
+					Trace: obs.NewTracer(mem),
+				})
+				if err != nil {
+					t.Errorf("session %d/%d: %v", g, r, err)
+					return
+				}
+				res, err := tn.Tune()
+				if err != nil {
+					t.Errorf("session %d/%d: %v", g, r, err)
+					return
+				}
+				var cached, derived int64
+				for _, e := range mem.Events() {
+					if e.Type != obs.EvFragment {
+						continue
+					}
+					if e.Fields["cached"].(bool) {
+						cached++
+					} else {
+						derived++
+					}
+				}
+				e := res.Economy
+				if e.CacheHits != cached || e.CacheMisses != derived {
+					t.Errorf("session %d/%d: economy counts %d hits / %d misses, its trace %d cached / %d derived fragments",
+						g, r, e.CacheHits, e.CacheMisses, cached, derived)
+				}
+				if cached+derived != int64(len(w.Queries)) {
+					t.Errorf("session %d/%d: %d fragments traced for %d statements", g, r, cached+derived, len(w.Queries))
+				}
+				mu.Lock()
+				hits += e.CacheHits
+				saved += e.CacheCallsSaved
+				mu.Unlock()
+			}
+		}(g, w)
+	}
+	wg.Wait()
+	if st := cache.Stats(); st.Hits != hits || st.CallsSaved != saved {
+		t.Errorf("sessions account %d hits / %d saved calls, cache counted %d / %d", hits, saved, st.Hits, st.CallsSaved)
 	}
 }
 

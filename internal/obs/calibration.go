@@ -38,10 +38,17 @@ type WhatIfEconomy struct {
 	// their fingerprint was already evaluated.
 	ShortcutPrunes int64 `json:"shortcut_prunes"`
 	DuplicateSkips int64 `json:"duplicate_skips"`
-	// CacheHits / CacheCallsSaved account the cross-session fragment
-	// cache (zero unless Options.Cache is set).
+	// CacheHits / CacheMisses / CacheCallsSaved account this session's
+	// lookups in the cross-session fragment cache (zero unless
+	// Options.Cache is set).
 	CacheHits       int64 `json:"cache_hits,omitempty"`
+	CacheMisses     int64 `json:"cache_misses,omitempty"`
 	CacheCallsSaved int64 `json:"cache_calls_saved,omitempty"`
+	// CandidatesRanked sums, over the search iterations, the
+	// transformations that survived penalty ranking; SkylinePruned the
+	// ones the §3.6 skyline filter discarded.
+	CandidatesRanked int64 `json:"candidates_ranked,omitempty"`
+	SkylinePruned    int64 `json:"skyline_pruned,omitempty"`
 	// Evaluation-memo accounting: full-configuration evaluations
 	// answered from the session's fingerprint-keyed memo, and the misses
 	// that had to evaluate.

@@ -1,15 +1,15 @@
 package obs
 
 // TunerMetrics bundles the Prometheus metrics describing the relaxation
-// search. The search-internal metrics are fed from trace events via
-// Sink; the session-level ones (optimizer calls, retune duration) are
-// recorded directly by the caller that owns the tuning session.
+// search. The caller that owns the tuning sessions feeds them from each
+// finished session's result; the phase series come from a Profiler
+// observer and the replay series from ObserveReplay.
 type TunerMetrics struct {
 	// OptimizerCalls counts what-if optimizer invocations across all
 	// tuning sessions (tuner_optimizer_calls_total).
 	OptimizerCalls *Counter
 	// PhaseOptimizerCalls attributes optimizer calls to search phases
-	// (initial/optimal/warm-start/search), fed from span-end events.
+	// (initial/optimal/warm-start/search).
 	PhaseOptimizerCalls *CounterVec
 	// RetuneDuration is the wall-clock distribution of tuning sessions.
 	RetuneDuration *Histogram
@@ -37,10 +37,10 @@ type TunerMetrics struct {
 	CacheHits        *Counter
 	CacheMisses      *Counter
 
-	// Flight-recorder live series, fed from evaluation events:
-	// FrontierSpace is the size of the configuration the search last
-	// visited, BudgetGap is how far that configuration sits above the
-	// space budget (negative once it fits), and BoundViolations counts
+	// Flight-recorder series, moved once per session: FrontierSpace is
+	// the size of the last configuration the relaxation loop evaluated,
+	// BudgetGap is how far that configuration sits above the space
+	// budget (negative once it fits), and BoundViolations counts
 	// accepted steps whose realized ΔT exceeded the §3.3.2 upper bound —
 	// the alertable form of the calibration report.
 	FrontierSpace   *Gauge
@@ -87,12 +87,6 @@ var (
 	// data, registers indexes, and runs the workload several times.
 	DefaultReplayBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 )
-
-// NewTunerMetrics registers the tuner metric family on reg with
-// default bucket boundaries.
-func NewTunerMetrics(reg *Registry) *TunerMetrics {
-	return NewTunerMetricsWith(reg, TunerMetricsBuckets{})
-}
 
 // NewTunerMetricsWith registers the tuner metric family with custom
 // histogram buckets; zero-value fields keep the defaults.
@@ -173,72 +167,4 @@ func (m *TunerMetrics) ObserveReplay(gt *GroundTruthReport) {
 		rows += gt.Configs[i].RowsScanned
 	}
 	m.ReplayRows.Add(float64(rows))
-}
-
-// Sink returns a trace sink that keeps the search-internal metrics
-// current. Install it (possibly fanned out with a JSONL sink) as the
-// tuning session's tracer sink.
-func (m *TunerMetrics) Sink() Sink { return &metricsSink{m: m} }
-
-type metricsSink struct{ m *TunerMetrics }
-
-func (s *metricsSink) Emit(e Event) {
-	m := s.m
-	switch e.Type {
-	case EvIteration:
-		m.Iterations.Inc()
-	case EvCandidates:
-		m.CandidatesRanked.Add(fieldFloat(e.Fields, "survivors"))
-		m.SkylinePruned.Add(fieldFloat(e.Fields, "skyline_pruned"))
-	case EvEval:
-		m.Evaluations.Inc()
-		m.FrontierSpace.Set(fieldFloat(e.Fields, "size"))
-		if _, ok := e.Fields["budget_gap"]; ok {
-			m.BudgetGap.Set(fieldFloat(e.Fields, "budget_gap"))
-		}
-		if est := fieldFloat(e.Fields, "est_dt"); est > 0 {
-			tightness := fieldFloat(e.Fields, "realized_dt") / est
-			m.BoundTightness.Observe(tightness)
-			if tightness > 1+1e-9 {
-				m.BoundViolations.Inc()
-			}
-		}
-	case EvSkip:
-		switch e.Fields["reason"] {
-		case "shortcut":
-			m.ShortcutPrunes.Inc()
-		case "duplicate":
-			m.DuplicateSkips.Inc()
-		}
-	case EvCache:
-		if hit, _ := e.Fields["hit"].(bool); hit {
-			m.CacheHits.Inc()
-		} else {
-			m.CacheMisses.Inc()
-		}
-	case EvSpanEnd:
-		// Attribute phase-level optimizer calls; the "tune" span is the
-		// sum of its children and would double-count.
-		if e.Phase != "" && e.Phase != "tune" {
-			if calls := fieldFloat(e.Fields, "optimizer_calls"); calls > 0 {
-				m.PhaseOptimizerCalls.Add(e.Phase, calls)
-			}
-		}
-	}
-}
-
-func (s *metricsSink) Close() error { return nil }
-
-// fieldFloat reads a numeric field regardless of the concrete type the
-// instrumentation (or a JSON round-trip) stored.
-func fieldFloat(f F, key string) float64 {
-	switch v := f[key].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	}
-	return 0
 }

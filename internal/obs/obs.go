@@ -1,7 +1,7 @@
 // Package obs is the tuner's observability layer: a lightweight
 // span/event tracer for the relaxation search, a dependency-free
-// Prometheus text-format metrics registry, and the glue that turns
-// trace events into metrics.
+// Prometheus text-format metrics registry, and the tuner's metric
+// families, fed from each finished session rather than from traces.
 //
 // The tracer is nil-safe by design: a nil *Tracer is a valid no-op
 // tracer, so instrumented hot paths pay a single pointer comparison
@@ -12,8 +12,8 @@
 //		tr.Emit(obs.EvIteration, obs.F{"iter": i, "cost": c})
 //	}
 //
-// Events flow into a Sink (JSONL file, in-memory buffer, Prometheus
-// metrics, or any fan-out of those).
+// Events flow into a Sink (JSONL file, in-memory buffer, or a fan-out
+// of those).
 package obs
 
 import (

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -128,61 +127,5 @@ func TestTracerConcurrentEmit(t *testing.T) {
 			t.Fatalf("duplicate seq %d", e.Seq)
 		}
 		seen[e.Seq] = true
-	}
-}
-
-func TestMetricsSinkFromEvents(t *testing.T) {
-	reg := NewRegistry()
-	tm := NewTunerMetrics(reg)
-	tr := NewTracer(tm.Sink())
-
-	end := tr.Span("search", nil)
-	tr.Emit(EvIteration, F{"iter": 0})
-	tr.Emit(EvCandidates, F{"survivors": 5, "skyline_pruned": 2})
-	tr.Emit(EvEval, F{"est_dt": 10.0, "realized_dt": 8.0})
-	tr.Emit(EvEval, F{"est_dt": 0.0, "realized_dt": -1.0}) // no tightness sample
-	tr.Emit(EvSkip, F{"reason": "shortcut"})
-	tr.Emit(EvSkip, F{"reason": "duplicate"})
-	tr.Emit(EvCache, F{"hit": true})
-	tr.Emit(EvCache, F{"hit": false})
-	end(F{"optimizer_calls": int64(7)})
-
-	if got := tm.Iterations.Value(); got != 1 {
-		t.Fatalf("iterations = %v", got)
-	}
-	if got := tm.CandidatesRanked.Value(); got != 5 {
-		t.Fatalf("candidates = %v", got)
-	}
-	if got := tm.SkylinePruned.Value(); got != 2 {
-		t.Fatalf("skyline pruned = %v", got)
-	}
-	if got := tm.Evaluations.Value(); got != 2 {
-		t.Fatalf("evaluations = %v", got)
-	}
-	if got := tm.BoundTightness.Count(); got != 1 {
-		t.Fatalf("tightness samples = %v", got)
-	}
-	if tm.ShortcutPrunes.Value() != 1 || tm.DuplicateSkips.Value() != 1 {
-		t.Fatal("skip counters wrong")
-	}
-	if tm.CacheHits.Value() != 1 || tm.CacheMisses.Value() != 1 {
-		t.Fatal("cache counters wrong")
-	}
-	if got := tm.PhaseOptimizerCalls.Value("search"); got != 7 {
-		t.Fatalf("phase calls = %v", got)
-	}
-
-	var buf bytes.Buffer
-	reg.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"tuner_optimizer_calls_total",
-		"tuner_penalty_bound_tightness_bucket{le=\"1\"} 1",
-		"tuner_retune_duration_seconds_bucket",
-		`tuner_phase_optimizer_calls_total{phase="search"} 7`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -72,13 +72,15 @@ func TestOptimizeAllocsPinned(t *testing.T) {
 	})
 }
 
-// TestForkPoolSharing proves pooled optimization state never leaks
-// across concurrent forked workers: many goroutines repeatedly optimize
-// the same bound queries (so every worker keeps drawing previously-used
-// scratch contexts from the shared pool) and every result must be
-// bit-identical to the serial reference. Run under -race this also
-// checks the pool handoff and the per-query block memo for data races.
-func TestForkPoolSharing(t *testing.T) {
+// TestSharedOptimizerPoolSharing proves pooled optimization state never
+// leaks across concurrent callers of one optimizer: many goroutines
+// repeatedly optimize the same bound queries through it (so every
+// goroutine keeps drawing previously-used scratch contexts from the
+// shared pool) and every result must be bit-identical to the serial
+// reference. This is how the tuner's per-query evaluation workers use
+// the optimizer. Run under -race this also checks the pool handoff, the
+// atomic counters, and the per-query block memo for data races.
+func TestSharedOptimizerPoolSharing(t *testing.T) {
 	db := testDB(t)
 	o := New(db)
 	cfg := baseCfg(db)
@@ -101,10 +103,9 @@ func TestForkPoolSharing(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			f := o.Fork()
 			for r := 0; r < rounds; r++ {
 				for i, q := range queries {
-					p, err := f.Optimize(q, cfg)
+					p, err := o.Optimize(q, cfg)
 					if err != nil {
 						errs <- err
 						return
@@ -121,6 +122,10 @@ func TestForkPoolSharing(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	// The shared counters must not lose a call under contention.
+	if got, want := o.Stats().OptimizeCalls, int64((1+workers*rounds)*len(queries)); !t.Failed() && got != want {
+		t.Errorf("optimizer counted %d calls, want %d", got, want)
 	}
 }
 
@@ -166,8 +171,8 @@ func BenchmarkOptimizeHooked(b *testing.B) {
 }
 
 // BenchmarkOptimizeParallel exercises the pooled scratch contexts under
-// contention: GOMAXPROCS-many goroutines each optimizing through their
-// own Fork, drawing from the shared context pool.
+// contention: GOMAXPROCS-many goroutines optimizing through one shared
+// optimizer, drawing from the shared context pool.
 func BenchmarkOptimizeParallel(b *testing.B) {
 	db := testDB(b)
 	o := New(db)
@@ -177,9 +182,8 @@ func BenchmarkOptimizeParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		f := o.Fork()
 		for pb.Next() {
-			if _, err := f.Optimize(q, cfg); err != nil {
+			if _, err := o.Optimize(q, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

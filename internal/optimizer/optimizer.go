@@ -25,7 +25,8 @@ const MaxJoinTables = 16
 // threaded through the call tree and the activity counters are atomic, so
 // any number of goroutines may optimize concurrently against one
 // Optimizer. SetHooks is the exception — hooks are per-Optimizer, so
-// concurrent instrumented optimizations must each use a Fork.
+// instrumented optimizations must not run concurrently with each other
+// or with uninstrumented calls.
 type Optimizer struct {
 	db    *catalog.Database
 	model CostModel
@@ -162,14 +163,6 @@ func New(db *catalog.Database) *Optimizer {
 	}
 }
 
-// Fork returns an optimizer over the same catalog, cost model, and size
-// estimator, with its own hooks and zeroed counters. Parallel workers
-// that need hooks (the §2 instrumented optimization) each take a fork
-// and merge their counters back with AddStats when done.
-func (o *Optimizer) Fork() *Optimizer {
-	return &Optimizer{db: o.db, model: o.model, sizer: o.sizer}
-}
-
 // SetHooks installs the instrumentation hooks of §2 (nil disables them).
 func (o *Optimizer) SetHooks(h *Hooks) { o.hooks = h }
 
@@ -180,14 +173,6 @@ func (o *Optimizer) Stats() Stats {
 		IndexRequests: o.stats.indexRequests.Load(),
 		ViewRequests:  o.stats.viewRequests.Load(),
 	}
-}
-
-// AddStats merges a delta (typically a Fork's counters) into this
-// optimizer's counters.
-func (o *Optimizer) AddStats(d Stats) {
-	o.stats.optimizeCalls.Add(d.OptimizeCalls)
-	o.stats.indexRequests.Add(d.IndexRequests)
-	o.stats.viewRequests.Add(d.ViewRequests)
 }
 
 // ResetStats zeroes the activity counters.

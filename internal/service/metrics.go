@@ -3,8 +3,49 @@ package service
 import (
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
+
+// observeResult maps one finished tuning session onto the tuner metric
+// families. budget is the session's space budget (<= 0 = none); the
+// frontier and budget-gap gauges keep their previous value when the
+// relaxation loop evaluated no configuration.
+func observeResult(m *obs.TunerMetrics, res *core.Result, budget int64) {
+	m.OptimizerCalls.Add(float64(res.OptimizerCalls))
+	m.RetuneDuration.Observe(res.Elapsed.Seconds())
+	for phase, calls := range res.PhaseOptimizerCalls {
+		m.PhaseOptimizerCalls.Add(phase, float64(calls))
+	}
+	e := res.Economy
+	m.Iterations.Add(float64(len(res.TransCensus)))
+	m.Evaluations.Add(float64(len(res.CalibSamples)))
+	m.ShortcutPrunes.Add(float64(e.ShortcutPrunes))
+	m.DuplicateSkips.Add(float64(e.DuplicateSkips))
+	m.CandidatesRanked.Add(float64(e.CandidatesRanked))
+	m.SkylinePruned.Add(float64(e.SkylinePruned))
+	m.CacheHits.Add(float64(e.CacheHits))
+	m.CacheMisses.Add(float64(e.CacheMisses))
+	for _, cs := range res.CalibSamples {
+		if cs.EstDT <= 0 {
+			continue
+		}
+		tightness := cs.RealizedDT / cs.EstDT
+		m.BoundTightness.Observe(tightness)
+		if tightness > 1+1e-9 {
+			m.BoundViolations.Inc()
+		}
+	}
+	// Seed points (optimal, warm start) carry iteration 0; only a point
+	// the relaxation loop evaluated moves the gauges.
+	if n := len(res.Frontier); n > 0 && res.Frontier[n-1].Iteration > 0 {
+		last := res.Frontier[n-1]
+		m.FrontierSpace.Set(float64(last.SizeBytes))
+		if budget > 0 {
+			m.BudgetGap.Set(float64(last.SizeBytes - budget))
+		}
+	}
+}
 
 // Metrics holds the service's activity counters. All fields are updated
 // atomically; Snapshot returns a point-in-time copy for the /metrics
@@ -159,7 +200,7 @@ type MetricsSnapshot struct {
 
 // serviceGauges mirrors the service-level counters into the Prometheus
 // registry. Values are refreshed from a MetricsSnapshot on each scrape
-// (the tuner_* search metrics are event-driven and always current).
+// (the tuner_* search metrics move once per retune, in observeResult).
 type serviceGauges struct {
 	uptime           *obs.Gauge
 	ingested         *obs.Gauge

@@ -80,8 +80,8 @@ type Options struct {
 	// service owns the recorder from then on and closes it on Close.
 	Recorder *obs.Recorder
 	// TraceSink, when set, receives the full span/event telemetry of
-	// every tuning session (in addition to the Prometheus metrics the
-	// service always derives from the same events).
+	// every tuning session. nil disables tracing; the Prometheus metrics
+	// are fed from each session's result either way.
 	TraceSink obs.Sink
 	// MetricsBuckets overrides the Prometheus histogram bucket
 	// boundaries (zero value = defaults).
@@ -151,8 +151,8 @@ type Service struct {
 	started time.Time
 
 	// Prometheus surface: the registry backs the text exposition of
-	// /metrics; tunerMetrics is fed from trace events, so every retune
-	// updates it without the core package knowing about Prometheus.
+	// /metrics; tunerMetrics is fed from each retune's core.Result, so
+	// the core package knows nothing about Prometheus.
 	promReg      *obs.Registry
 	tunerMetrics *obs.TunerMetrics
 	promGauges   *serviceGauges
@@ -251,7 +251,7 @@ func New(opts Options) (*Service, error) {
 		promReg:      promReg,
 		tunerMetrics: tm,
 		promGauges:   gauges,
-		trace:        obs.NewTracer(obs.MultiSink(tm.Sink(), opts.TraceSink)),
+		trace:        obs.NewTracer(opts.TraceSink),
 		profiler:     profiler,
 		recorder:     recorder,
 		progress:     obs.NewProgress(),
@@ -595,10 +595,7 @@ func (s *Service) retune(trigger string, budget int64, overrideBudget bool) (*Re
 	s.metrics.lastRetuneUnix.Store(time.Now().Unix())
 	s.metrics.parallelWorkers.Store(int64(res.ParallelWorkers))
 	s.metrics.retuneNanosTotal.Add(res.Elapsed.Nanoseconds())
-	// Session-level Prometheus metrics; the search-internal ones were
-	// already fed from trace events during Tune.
-	s.tunerMetrics.OptimizerCalls.Add(float64(res.OptimizerCalls))
-	s.tunerMetrics.RetuneDuration.Observe(res.Elapsed.Seconds())
+	observeResult(s.tunerMetrics, res, opts.SpaceBudget)
 
 	s.mu.Lock()
 	s.rec = rec

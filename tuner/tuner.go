@@ -187,7 +187,7 @@ type (
 	Tracer = obs.Tracer
 	// TraceEvent is one recorded span or event.
 	TraceEvent = obs.Event
-	// TraceSink receives trace events (JSONL, in-memory, or metrics).
+	// TraceSink receives trace events (JSONL, in-memory, or a fan-out).
 	TraceSink = obs.Sink
 	// MemoryTraceSink buffers events in memory (tests, analysis).
 	MemoryTraceSink = obs.MemorySink
@@ -199,10 +199,6 @@ type (
 	DecisionEvent = core.DecisionEvent
 	// MetricsRegistry is a dependency-free Prometheus text registry.
 	MetricsRegistry = obs.Registry
-	// TunerMetrics is the Prometheus metric family describing the search.
-	TunerMetrics = obs.TunerMetrics
-	// TunerMetricsBuckets overrides histogram bucket boundaries.
-	TunerMetricsBuckets = obs.TunerMetricsBuckets
 	// Profiler aggregates per-phase wall/allocation/counter profiles of
 	// a tuning session; set Options.Profile to enable. A nil Profiler is
 	// a valid no-op.
@@ -258,16 +254,6 @@ func MultiTraceSink(sinks ...TraceSink) TraceSink { return obs.MultiSink(sinks..
 
 // NewMetricsRegistry returns an empty Prometheus text registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewTunerMetrics registers the tuner metric family on reg; feed it by
-// installing NewTracer(m.Sink()) as the session's Options.Trace.
-func NewTunerMetrics(reg *MetricsRegistry) *TunerMetrics { return obs.NewTunerMetrics(reg) }
-
-// NewTunerMetricsWith is NewTunerMetrics with custom histogram bucket
-// boundaries (zero-value fields keep the defaults).
-func NewTunerMetricsWith(reg *MetricsRegistry, buckets TunerMetricsBuckets) *TunerMetrics {
-	return obs.NewTunerMetricsWith(reg, buckets)
-}
 
 // NewProfiler returns an empty phase profiler; set it as
 // Options.Profile and call Snapshot after tuning.
