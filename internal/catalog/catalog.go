@@ -103,8 +103,8 @@ func NewTable(name string, rows int64, cols []Column, pk []string) (*Table, erro
 // Column returns the named column, or nil if absent. Lookup is
 // case-insensitive, matching SQL identifier semantics.
 func (t *Table) Column(name string) *Column {
-	i, ok := t.byName[strings.ToLower(name)]
-	if !ok {
+	i := t.ColumnIndex(name)
+	if i < 0 {
 		return nil
 	}
 	return &t.Columns[i]
@@ -112,7 +112,12 @@ func (t *Table) Column(name string) *Column {
 
 // ColumnIndex returns the ordinal position of the named column, or -1.
 func (t *Table) ColumnIndex(name string) int {
-	i, ok := t.byName[strings.ToLower(name)]
+	// Names usually arrive lowercased already; try them as they are
+	// before paying for ToLower.
+	i, ok := t.byName[name]
+	if !ok {
+		i, ok = t.byName[strings.ToLower(name)]
+	}
 	if !ok {
 		return -1
 	}
@@ -175,6 +180,9 @@ func (db *Database) MustAddTable(t *Table) {
 
 // Table returns the named table or nil. Lookup is case-insensitive.
 func (db *Database) Table(name string) *Table {
+	if t, ok := db.tables[name]; ok {
+		return t
+	}
 	return db.tables[strings.ToLower(name)]
 }
 

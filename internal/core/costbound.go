@@ -57,9 +57,10 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 	if p := t.Options.Profile; p.Enabled() {
 		defer p.Since(penaltyPhaseName(tr.Kind), time.Now())
 	}
-	cfgAfter := tr.Apply(ec.Config)
-	sizer := t.Opt.Sizer()
-	d := Delta{DS: ec.SizeBytes - sizer.ConfigBytes(cfgAfter)}
+	// ΔS comes from the structures tr removes and adds; the relaxed
+	// configuration shares every relation tr leaves alone.
+	cfgAfter, saved := tr.ApplySized(ec.Config, t.Opt.Sizer())
+	d := Delta{DS: saved}
 
 	// Removed structures, tracked in stack-backed slices: transformations
 	// remove at most two indexes and two views directly, so the maps this
@@ -115,13 +116,30 @@ func (t *Tuner) boundDelta(ec *EvaluatedConfig, tr *physical.Transformation) (De
 				d.DT += w * inc
 			}
 		}
-		// Update-shell deltas are exact and optimizer-free.
-		if tq.Bound.IsUpdate() {
+		// Update-shell deltas are exact and optimizer-free. A shell the
+		// transformation leaves alone costs exactly res.UpdateCost again,
+		// so it is not recomputed.
+		if tq.Bound.IsUpdate() && touchesShell(ec.Config, tr, tq.Bound.UpdateTable) {
 			newShell := t.Opt.UpdateShellCost(tq.Bound, cfgAfter, res.AffectedRows)
 			d.DT += w * (newShell - res.UpdateCost)
 		}
 	}
 	return d, nil
+}
+
+// touchesShell reports whether tr, applied to cfg, changes a structure the
+// update shell of a statement modifying table maintains: an index on the
+// table, or a view over the table and its indexes (§3.6).
+func touchesShell(cfg *physical.Configuration, tr *physical.Transformation, table string) bool {
+	over := func(v *physical.View) bool {
+		return v != nil && physical.EqualFoldAny(table, v.Tables...)
+	}
+	if tr.I1 != nil { // index transformations relax one relation
+		return strings.EqualFold(tr.I1.Table, table) || over(cfg.View(tr.I1.Table))
+	}
+	// A view transformation touches V1 and, for a merge, V2 and the
+	// merged view, which share V1's table set (MergeViews requires it).
+	return over(tr.V1)
 }
 
 // usageBound bounds the cost increase of one index usage when its index

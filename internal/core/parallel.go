@@ -16,11 +16,13 @@ import (
 //
 //  1. per-query what-if optimization: evalQueriesParallel spreads the
 //     workload's queries over a pool; the reentrant optimizer and the
-//     mutex-guarded sizer are shared, the §3.3.2 plan-reuse counters are
-//     atomic, and the weighted cost is reduced in query order so the
+//     sizer (a lock-free memo) are shared, the §3.3.2 plan-reuse counters
+//     are atomic, and the weighted cost is reduced in query order so the
 //     total is bit-identical to the serial loop.
 //  2. §3.3.2 penalty estimation: precomputeDeltas bounds every untried
-//     candidate's (ΔT, ΔS) concurrently — pure arithmetic except for
+//     candidate's (ΔT, ΔS) concurrently. Each bound builds the relaxed
+//     configuration, copying only the relation the candidate edits, and
+//     otherwise reads shared state; the only optimizer calls are
 //     singleflighted CBV computations.
 //
 // Each relaxation step evaluates only the configuration the penalty
@@ -184,7 +186,7 @@ func (t *Tuner) precomputeDeltas(node *searchNode, workers int) {
 	wg.Wait()
 	for i, tr := range missing {
 		if errs[i] != nil {
-			node.tried[tr.ID()] = true
+			node.markTried(tr.ID())
 			continue
 		}
 		node.deltas[tr.ID()] = deltas[i]

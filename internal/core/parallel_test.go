@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -22,6 +23,9 @@ func requireSameOutcome(t *testing.T, serial, parallel *Result) {
 	}
 	if serial.Iterations != parallel.Iterations {
 		t.Errorf("iterations diverged: serial %d, parallel %d", serial.Iterations, parallel.Iterations)
+	}
+	if !slices.Equal(serial.TransCensus, parallel.TransCensus) {
+		t.Errorf("transformation census diverged: serial %v, parallel %v", serial.TransCensus, parallel.TransCensus)
 	}
 	if len(serial.CalibSamples) != len(parallel.CalibSamples) {
 		t.Fatalf("calibration samples diverged: serial %d, parallel %d",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -112,6 +113,9 @@ type searchNode struct {
 	deltas          map[string]Delta
 	penalties       map[string]float64
 	tried           map[string]bool
+	// untried counts the transformations not yet in tried; markTried
+	// keeps it, so the census and node selection never recount.
+	untried int
 	// iteration and applied record the node's provenance (the
 	// transformations that produced it from its parent, and when) so
 	// the winning lineage can be replayed and explained.
@@ -119,14 +123,13 @@ type searchNode struct {
 	applied   []*physical.Transformation
 }
 
-func (n *searchNode) untried() int {
-	c := 0
-	for _, tr := range n.trans {
-		if !n.tried[tr.ID()] {
-			c++
-		}
+// markTried records a transformation of n as tried. Every write to
+// n.tried goes through here so n.untried stays exact.
+func (n *searchNode) markTried(id string) {
+	if !n.tried[id] {
+		n.tried[id] = true
+		n.untried--
 	}
-	return c
 }
 
 // Tune runs the full relaxation-based algorithm (Figure 5 instantiated
@@ -378,7 +381,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 				"node_cost":   node.eval.Cost,
 				"node_size":   node.eval.SizeBytes,
 				"pool":        len(pool),
-				"untried":     node.untried(),
+				"untried":     node.untried,
 			})
 		}
 
@@ -406,7 +409,7 @@ func (t *Tuner) runSearch(start time.Time) (*Result, error) {
 		var chosenIDs []string
 		estDT, estDS := 0.0, int64(0)
 		for _, tf := range chosen {
-			node.tried[tf.ID()] = true
+			node.markTried(tf.ID())
 			cfgNew = tf.Apply(cfgNew)
 			removedIdx = append(removedIdx, tf.RemovedIndexIDs()...)
 			removedViews = append(removedViews, tf.RemovedViewNames()...)
@@ -707,14 +710,14 @@ func realizedPenalty(parent, child *EvaluatedConfig) float64 {
 // every transformation, without discarding entries already present.
 func markAllTried(n *searchNode) {
 	for _, tr := range n.trans {
-		n.tried[tr.ID()] = true
+		n.markTried(tr.ID())
 	}
 }
 
 func poolCensus(pool []*searchNode) int {
 	total := 0
 	for _, n := range pool {
-		total += n.untried()
+		total += n.untried
 	}
 	return total
 }
@@ -741,6 +744,7 @@ func (t *Tuner) newSearchNode(ec *EvaluatedConfig, parent *searchNode, realized 
 		deltas:          map[string]Delta{},
 		penalties:       map[string]float64{},
 		tried:           map[string]bool{},
+		untried:         len(trans),
 	}
 }
 
@@ -755,7 +759,7 @@ func (t *Tuner) newSearchNode(ec *EvaluatedConfig, parent *searchNode, realized 
 // The returned reason string labels which heuristic selected the node
 // (for the trace): "relax-last", "chain-correction", or "cheapest".
 func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, hasUpdates bool) (*searchNode, string) {
-	if last != nil && last.untried() > 0 {
+	if last != nil && last.untried > 0 {
 		over := last.eval.SizeBytes > budget
 		improved := hasUpdates && last.parent != nil && last.eval.Cost < last.parent.eval.Cost
 		if over || improved {
@@ -765,7 +769,7 @@ func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, has
 	if !t.Options.DisableChainCorrection && last != nil {
 		var best *searchNode
 		for n := last; n != nil; n = n.parent {
-			if n.untried() == 0 {
+			if n.untried == 0 {
 				continue
 			}
 			if best == nil || n.realizedPenalty > best.realizedPenalty {
@@ -778,7 +782,7 @@ func (t *Tuner) pickNode(pool []*searchNode, last *searchNode, budget int64, has
 	}
 	var best *searchNode
 	for _, n := range pool {
-		if n.untried() == 0 {
+		if n.untried == 0 {
 			continue
 		}
 		if best == nil || n.eval.Cost < best.eval.Cost {
@@ -809,7 +813,7 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 			var err error
 			d, err = t.boundDelta(node.eval, tr)
 			if err != nil {
-				node.tried[id] = true
+				node.markTried(id)
 				continue
 			}
 			node.deltas[id] = d
@@ -864,7 +868,17 @@ func (t *Tuner) rankTransformations(node *searchNode, budget int64, hasUpdates b
 		}
 		cands = kept
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].penalty < cands[j].penalty })
+	// slices.SortStableFunc runs sort.SliceStable's algorithm (both are
+	// generated from one template) without its reflection-based swaps.
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.penalty < b.penalty:
+			return -1
+		case b.penalty < a.penalty:
+			return 1
+		}
+		return 0
+	})
 	return cands, skyPruned
 }
 

@@ -267,3 +267,44 @@ func TestImprovementMetric(t *testing.T) {
 		t.Errorf("zero initial: %g", got)
 	}
 }
+
+// TestMarkTriedKeepsUntriedCount: the census reads searchNode.untried
+// instead of recounting, so every way of marking transformations tried —
+// repeats included — must keep it equal to a recount.
+func TestMarkTriedKeepsUntriedCount(t *testing.T) {
+	tn := tpchTuner(t, Options{NoViews: true, Parallelism: 1})
+	optCfg, err := tn.OptimalConfiguration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := tn.Evaluate(optCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := tn.newSearchNode(ec, nil, 0)
+	if len(node.trans) < 3 {
+		t.Fatalf("only %d transformations to mark", len(node.trans))
+	}
+	check := func(when string) {
+		t.Helper()
+		want := 0
+		for _, tr := range node.trans {
+			if !node.tried[tr.ID()] {
+				want++
+			}
+		}
+		if node.untried != want {
+			t.Errorf("%s: untried = %d, recount %d", when, node.untried, want)
+		}
+	}
+	check("fresh")
+	node.markTried(node.trans[0].ID())
+	node.markTried(node.trans[0].ID())
+	node.markTried(node.trans[2].ID())
+	check("after marking two, one twice")
+	markAllTried(node)
+	check("after markAllTried")
+	if node.untried != 0 {
+		t.Errorf("exhausted node has %d untried", node.untried)
+	}
+}

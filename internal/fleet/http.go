@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -89,8 +88,7 @@ func NewHandler(r *Registry) http.Handler {
 
 	mux.HandleFunc("POST /tenants", func(w http.ResponseWriter, req *http.Request) {
 		var spec TenantSpec
-		if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+		if !service.DecodeRequest(w, req, &spec, false) {
 			return
 		}
 		t, err := r.Add(spec)
@@ -243,8 +241,7 @@ func (r *Registry) tenantStatus(t *Tenant) TenantStatus {
 // admitted or the whole batch is rejected with 429 + Retry-After.
 func (r *Registry) serveIngest(t *Tenant, w http.ResponseWriter, req *http.Request) {
 	var body ingestRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !service.DecodeRequest(w, req, &body, false) {
 		return
 	}
 	if len(body.Statements) == 0 {
@@ -272,8 +269,7 @@ func (r *Registry) serveIngest(t *Tenant, w http.ResponseWriter, req *http.Reque
 // fleet.
 func (r *Registry) serveRetune(t *Tenant, w http.ResponseWriter, req *http.Request) {
 	var body retuneRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	if !service.DecodeRequest(w, req, &body, true) {
 		return
 	}
 	budget, override := int64(0), false

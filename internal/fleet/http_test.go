@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Registry, *httptest.Server) {
@@ -58,6 +59,10 @@ func TestFleetHTTPLifecycle(t *testing.T) {
 	}
 	if resp, body = doJSON(t, "POST", srv.URL+"/tenants", TenantSpec{ID: "UPPER", Database: "tpch"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid-ID POST /tenants = %d: %s", resp.StatusCode, body)
+	}
+	huge := TenantSpec{ID: "huge", Database: strings.Repeat("x", service.MaxRequestBytes)}
+	if resp, body = doJSON(t, "POST", srv.URL+"/tenants", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /tenants = %d: %s", resp.StatusCode, body)
 	}
 
 	resp, body = doJSON(t, "POST", srv.URL+"/tenants/alpha/ingest",

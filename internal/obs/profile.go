@@ -404,17 +404,29 @@ func (r *ProfileReport) TopLevelPhaseSeconds() map[string]float64 {
 }
 
 // WriteText renders the report as an indented table: top-level phases
-// in execution order, each followed by its sub-phases.
+// in execution order, each followed by its sub-phases. A sub-phase is
+// listed under its nearest recorded ancestor, so one whose direct parent
+// is never timed itself (search/penalty/<kind>, search/penalty/worker-N)
+// still shows under the top-level phase.
 func (r *ProfileReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "%-34s %8s %12s %10s %10s %10s %10s\n",
 		"phase", "count", "total", "p50", "p95", "p99", "alloc")
+	recorded := make(map[string]bool, len(r.Phases))
+	for _, pp := range r.Phases {
+		recorded[pp.Phase] = true
+	}
+	parent := func(name string) string {
+		for i := strings.LastIndexByte(name, '/'); i >= 0; i = strings.LastIndexByte(name[:i], '/') {
+			if recorded[name[:i]] {
+				return name[:i]
+			}
+		}
+		return ""
+	}
 	var emit func(prefix string, depth int)
 	emit = func(prefix string, depth int) {
 		for _, pp := range r.Phases {
-			if pp.Depth() != depth {
-				continue
-			}
-			if depth > 0 && !strings.HasPrefix(pp.Phase, prefix+"/") {
+			if depth == 0 && pp.Depth() != 0 || depth > 0 && parent(pp.Phase) != prefix {
 				continue
 			}
 			name := strings.Repeat("  ", depth) + pp.Phase

@@ -169,12 +169,13 @@ func TestProfileReportWriteText(t *testing.T) {
 	p := NewProfiler()
 	p.Observe("search", 200*time.Millisecond)
 	p.Observe("search/rank", 50*time.Millisecond)
+	p.Observe("search/penalty/worker-0", 40*time.Millisecond) // "search/penalty" is never timed
 	rep := p.Snapshot()
 	rep.WallSeconds = 0.25
 	var sb strings.Builder
 	rep.WriteText(&sb)
 	out := sb.String()
-	for _, want := range []string{"search", "rank", "p95", "wall time"} {
+	for _, want := range []string{"search", "rank", "  search/penalty/worker-0", "p95", "wall time"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText output missing %q:\n%s", want, out)
 		}

@@ -91,8 +91,8 @@ type BoundQuery struct {
 	// blockMemo caches the SPJG view blocks of table subsets (see
 	// Optimizer.viewBlock). Blocks depend only on the bound query and the
 	// catalog statistics, never on the configuration being costed, so they
-	// are computed once per query. Forked workers optimize the same bound
-	// query concurrently, hence the mutex.
+	// are computed once per query. The tuner's evaluation workers optimize
+	// the same bound query concurrently, hence the mutex.
 	blockMu   sync.Mutex
 	blockMemo map[uint64]viewBlockEntry
 }

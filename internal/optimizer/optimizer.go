@@ -45,9 +45,9 @@ type statCounters struct {
 // optCtx carries the state of one Optimize call plus its reusable scratch
 // buffers. reqSeen deduplicates requests within the call so repeated
 // probes of the same relation during join enumeration count (and fire
-// hooks) once. Contexts are pooled: every Optimize call — including calls
-// from forked workers, which share the package-level pool — takes a
-// context whose maps, DP table, and dpEntry arena retain their capacity
+// hooks) once. Contexts are pooled: every Optimize call — including
+// concurrent calls from the tuner's evaluation workers, which share the
+// package-level pool — takes a context whose maps, DP table, and dpEntry arena retain their capacity
 // from earlier calls, so the steady-state what-if loop allocates no
 // per-call bookkeeping.
 type optCtx struct {

@@ -175,7 +175,7 @@ type viewBlockEntry struct {
 // with its request-dedup key. Blocks depend only on the bound query and
 // the catalog statistics — never on the configuration being optimized —
 // so each is computed once per query and shared across every what-if
-// call and every forked worker. Sharing the block with hooks is safe:
+// call and every concurrent caller. Sharing the block with hooks is safe:
 // the interceptor clones it before storing it in a configuration.
 func (o *Optimizer) viewBlock(q *BoundQuery, idx map[string]int, mask uint64, grouped bool) (*physical.View, string) {
 	memoKey := mask << 1

@@ -20,20 +20,56 @@ type WidthResolver interface {
 }
 
 // Sizer estimates the storage consumed by indexes, views, and whole
-// configurations following the B-tree model of §3.3.1. It caches per-index
-// sizes; the cache key includes the owning view's estimated cardinality so
-// re-estimated views are re-sized. The cache is mutex-guarded: one sizer is
-// shared by every forked optimizer in a parallel evaluation pool.
+// configurations following the B-tree model of §3.3.1. It memoizes each
+// index's shape under its sizing key: the index ID, plus the owning view's
+// estimated cardinality for an index over a view, so a re-estimated view
+// is re-sized. The memo is a sync.Map: a warm lookup neither locks nor
+// writes shared memory, so the tuner's concurrent penalty and evaluation
+// workers never contend on it.
 type Sizer struct {
-	base WidthResolver
+	base   WidthResolver
+	shapes sync.Map // index ID → indexShape
+}
 
-	mu    sync.Mutex
-	cache map[string]int64
+// indexShape is everything the sizer answers about one index, computed
+// over a view of viewRows estimated rows (-1 for a base-table index); a
+// lookup under another cardinality recomputes and replaces it. An index
+// whose table or columns cannot be resolved has zero rows and bytes, one
+// leaf page and height zero.
+type indexShape struct {
+	viewRows, rows, leafPages, bytes int64
+	height                           int
 }
 
 // NewSizer returns a sizer over the given base resolver.
 func NewSizer(base WidthResolver) *Sizer {
-	return &Sizer{base: base, cache: make(map[string]int64)}
+	return &Sizer{base: base}
+}
+
+// shape returns the memoized shape of ix within cfg (cfg supplies view
+// cardinalities; it may be nil for base-table indexes).
+func (s *Sizer) shape(ix *Index, cfg *Configuration) indexShape {
+	id, viewRows := ix.ID(), int64(-1)
+	if cfg != nil {
+		if v := cfg.View(ix.Table); v != nil {
+			viewRows = v.EstRows
+		}
+	}
+	if sh, ok := s.shapes.Load(id); ok && sh.(indexShape).viewRows == viewRows {
+		return sh.(indexShape)
+	}
+	sh := indexShape{viewRows: viewRows, leafPages: 1}
+	if rows, leafW, intW, resolved := s.resolve(ix, cfg); resolved {
+		sh = indexShape{
+			viewRows:  viewRows,
+			rows:      rows,
+			leafPages: storage.BTreeLeafPages(rows, leafW),
+			bytes:     storage.BTreeBytes(rows, leafW, intW),
+			height:    storage.BTreeHeight(rows, leafW, intW),
+		}
+	}
+	s.shapes.Store(id, sh)
+	return sh
 }
 
 // resolve returns rows, leaf entry width, and internal entry width for an
@@ -98,26 +134,7 @@ func (s *Sizer) widths(ix *Index, rows int64, colWidth func(string) (int, bool),
 // IndexBytes returns the estimated size in bytes of one index within cfg
 // (cfg supplies view cardinalities; it may be nil for base-table indexes).
 func (s *Sizer) IndexBytes(ix *Index, cfg *Configuration) int64 {
-	key := ix.ID()
-	if cfg != nil {
-		if v := cfg.View(ix.Table); v != nil {
-			key += "@" + itoa64(v.EstRows)
-		}
-	}
-	s.mu.Lock()
-	sz, ok := s.cache[key]
-	s.mu.Unlock()
-	if ok {
-		return sz
-	}
-	rows, leafW, intW, resolved := s.resolve(ix, cfg)
-	if resolved {
-		sz = storage.BTreeBytes(rows, leafW, intW)
-	}
-	s.mu.Lock()
-	s.cache[key] = sz
-	s.mu.Unlock()
-	return sz
+	return s.shape(ix, cfg).bytes
 }
 
 // IndexPages returns the total page count of one index.
@@ -127,29 +144,17 @@ func (s *Sizer) IndexPages(ix *Index, cfg *Configuration) int64 {
 
 // IndexLeafPages returns the leaf-level page count (what scans touch).
 func (s *Sizer) IndexLeafPages(ix *Index, cfg *Configuration) int64 {
-	rows, leafW, _, ok := s.resolve(ix, cfg)
-	if !ok {
-		return 1
-	}
-	return storage.BTreeLeafPages(rows, leafW)
+	return s.shape(ix, cfg).leafPages
 }
 
 // IndexHeight returns the number of B-tree levels above the leaves.
 func (s *Sizer) IndexHeight(ix *Index, cfg *Configuration) int {
-	rows, leafW, intW, ok := s.resolve(ix, cfg)
-	if !ok {
-		return 0
-	}
-	return storage.BTreeHeight(rows, leafW, intW)
+	return s.shape(ix, cfg).height
 }
 
 // IndexRows returns the number of entries in the index.
 func (s *Sizer) IndexRows(ix *Index, cfg *Configuration) int64 {
-	rows, _, _, ok := s.resolve(ix, cfg)
-	if !ok {
-		return 0
-	}
-	return rows
+	return s.shape(ix, cfg).rows
 }
 
 // HeapPages returns the page count of the table stored as a heap (used
@@ -176,42 +181,15 @@ func (s *Sizer) HeapPages(table string, cfg *Configuration) int64 {
 // Materialized views are counted through their indexes (a view's clustered
 // index stores the view rows), matching §3.3.1.
 func (s *Sizer) ConfigBytes(cfg *Configuration) int64 {
-	// Iterate the index map directly: integer summation is order-
-	// independent, and this accessor sits on the penalty-bound hot path
-	// where the sorted Indexes() slice would be pure allocation overhead.
+	// Integer summation is order-independent, so the relations are walked
+	// directly rather than through the sorted Indexes() slice.
 	var total int64
-	for _, ix := range cfg.indexes {
-		total += s.IndexBytes(ix, cfg)
+	for _, r := range cfg.rels {
+		for _, e := range r.idx {
+			total += s.IndexBytes(e.ix, cfg)
+		}
 	}
 	return total
-}
-
-// DeltaBytes returns Size(c) − Size(other); positive when c is larger.
-func (s *Sizer) DeltaBytes(c, other *Configuration) int64 {
-	return s.ConfigBytes(c) - s.ConfigBytes(other)
-}
-
-func itoa64(v int64) string {
-	// small allocation-free helper
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // BaseResolverFunc adapts plain functions to the WidthResolver interface.

@@ -145,26 +145,58 @@ func (t *Transformation) RemovedViewNames() []string {
 // Apply produces the relaxed configuration. For view transformations the
 // affected views' indexes cascade per §3.1.2.
 func (t *Transformation) Apply(c *Configuration) *Configuration {
+	n, _ := t.ApplySized(c, nil)
+	return n
+}
+
+// ApplySized is Apply that also returns the space the transformation
+// saves under sizer s, Space(c) − Space(result): the sizes of the indexes
+// it removes (cascades included) minus those of the indexes it adds, so
+// the cost is proportional to the change, not to the configuration. With
+// a nil sizer the saving is 0.
+func (t *Transformation) ApplySized(c *Configuration, s *Sizer) (*Configuration, int64) {
 	n := c.Clone()
+	n.editing = true
+	defer n.endEdit()
+	var saved int64
+	remove := func(id string) {
+		if ix := n.removeIndex(id); ix != nil && s != nil {
+			saved += s.IndexBytes(ix, c)
+		}
+	}
+	add := func(ix *Index) {
+		if ix, added := n.addIndex(ix); added && s != nil {
+			saved -= s.IndexBytes(ix, n)
+		}
+	}
+	removeView := func(name string) {
+		cascaded, _ := n.removeView(name)
+		if s == nil {
+			return
+		}
+		for _, e := range cascaded {
+			saved += s.IndexBytes(e.ix, c)
+		}
+	}
 	switch t.Kind {
 	case TransMergeIndexes, TransSplitIndexes, TransPrefixIndex:
-		n.RemoveIndex(t.I1.ID())
+		remove(t.I1.ID())
 		if t.I2 != nil {
-			n.RemoveIndex(t.I2.ID())
+			remove(t.I2.ID())
 		}
 		for _, ix := range t.NewIdx {
-			n.AddIndex(ix)
+			add(ix)
 		}
 	case TransPromoteClustered:
-		n.RemoveIndex(t.I1.ID())
+		remove(t.I1.ID())
 		for _, ix := range t.NewIdx {
-			n.AddIndex(ix)
+			add(ix)
 		}
 	case TransRemoveIndex:
-		n.RemoveIndex(t.I1.ID())
+		remove(t.I1.ID())
 	case TransMergeViews:
-		n.RemoveView(t.V1.Name)
-		n.RemoveView(t.V2.Name)
+		removeView(t.V1.Name)
+		removeView(t.V2.Name)
 		vm := n.AddView(t.VM)
 		for _, ix := range t.Promoted {
 			// Re-target in case signature dedup picked an existing name.
@@ -173,12 +205,12 @@ func (t *Transformation) Apply(c *Configuration) *Configuration {
 				ix.Table = vm.Name
 				ix.id = ix.buildID()
 			}
-			n.AddIndex(ix)
+			add(ix)
 		}
 	case TransRemoveView:
-		n.RemoveView(t.V1.Name)
+		removeView(t.V1.Name)
 	}
-	return n
+	return n, saved
 }
 
 // EnumerateOptions tunes transformation enumeration.

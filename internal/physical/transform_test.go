@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sqlx"
@@ -180,5 +181,47 @@ func TestRemoveViewCascadesInApply(t *testing.T) {
 	after := tr.Apply(c)
 	if after.View("v") != nil || len(after.IndexesOn("v")) != 0 {
 		t.Error("view removal must cascade")
+	}
+}
+
+// TestApplyResultIsolation: the relaxed configuration Apply returns shares
+// storage with its source, yet behaves like an independent value. Writing
+// the source, the result, or a clone of the result never shows through to
+// the others.
+func TestApplyResultIsolation(t *testing.T) {
+	ids := func(c *Configuration) []string {
+		var out []string
+		for _, ix := range c.Indexes() {
+			out = append(out, ix.ID())
+		}
+		return out
+	}
+	src := enumCfg()
+	srcBefore := ids(src)
+	var merge *Transformation
+	for _, tr := range Enumerate(src, EnumerateOptions{NoViews: true}) {
+		if tr.Kind == TransMergeIndexes {
+			merge = tr
+			break
+		}
+	}
+	res := merge.Apply(src)
+	res.AddIndex(NewIndex("t", []string{"b"}, nil, false))
+	res.AddIndex(NewIndex("t", []string{"c"}, nil, false))
+	resBefore := ids(res)
+
+	clone := res.Clone()
+	clone.RemoveIndex(NewIndex("t", []string{"b"}, nil, false).ID())
+	clone.AddIndex(NewIndex("t", []string{"a"}, nil, false))
+	src.AddIndex(NewIndex("t", []string{"d"}, nil, false))
+
+	if got := ids(res); !slices.Equal(got, resBefore) {
+		t.Errorf("result changed by writes elsewhere:\n got %v\nwant %v", got, resBefore)
+	}
+	if got := ids(src); len(got) != len(srcBefore)+1 {
+		t.Errorf("source changed by writes elsewhere: %v, was %v", got, srcBefore)
+	}
+	if !clone.HasIndex(NewIndex("t", []string{"a"}, nil, false).ID()) || clone.HasIndex(NewIndex("t", []string{"b"}, nil, false).ID()) {
+		t.Errorf("clone lost its own writes: %v", ids(clone))
 	}
 }

@@ -103,8 +103,7 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
 		var req ingestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+		if !DecodeRequest(w, r, &req, false) {
 			return
 		}
 		if len(req.Statements) == 0 {
@@ -130,8 +129,7 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /retune", func(w http.ResponseWriter, r *http.Request) {
 		var req retuneRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+		if !DecodeRequest(w, r, &req, true) {
 			return
 		}
 		var rec *Recommendation
@@ -502,6 +500,27 @@ func wantsPrometheus(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	return strings.Contains(accept, "text/plain") ||
 		strings.Contains(accept, "application/openmetrics-text")
+}
+
+// MaxRequestBytes caps the body of every JSON request the HTTP handlers
+// (this package's and the fleet's) decode; a longer body is answered 413.
+const MaxRequestBytes = 1 << 20
+
+// DecodeRequest decodes the JSON body of r into v, reading at most
+// MaxRequestBytes of it. An empty body leaves v as it is when emptyOK. On
+// failure it writes the error answer — 413 for a body over the cap, 400
+// for anything else — and returns false.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	if err == nil || emptyOK && errors.Is(err, io.EOF) {
+		return true
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: fmt.Sprintf("request body over %d bytes", MaxRequestBytes)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON: " + err.Error()})
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

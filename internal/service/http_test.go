@@ -234,6 +234,40 @@ func TestHandlerMethodsAndErrors(t *testing.T) {
 	}
 }
 
+// TestIngestBodyCap: a body over MaxRequestBytes is answered 413 and
+// ingests nothing, even though it is well-formed JSON of valid statements.
+func TestIngestBodyCap(t *testing.T) {
+	svc, err := New(Options{DB: datagen.TPCH(0.001), Tuning: testTuning()})
+	if err != nil {
+		t.Fatalf("service: %v", err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	if code := postJSON(t, srv.URL+"/ingest", ingestRequest{Statements: phase1}, nil); code != http.StatusOK {
+		t.Fatalf("ingest: status %d", code)
+	}
+	before := svc.MetricsSnapshot()
+
+	var big []string
+	for n := 0; n <= MaxRequestBytes; n += len(phase1[0]) {
+		big = append(big, phase1[0])
+	}
+	var answer errorResponse
+	if code := postJSON(t, srv.URL+"/ingest", ingestRequest{Statements: big}, &answer); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest: status %d, want 413", code)
+	}
+	if answer.Error == "" {
+		t.Error("413 answer carries no error message")
+	}
+	after := svc.MetricsSnapshot()
+	if after.WindowObservations != before.WindowObservations || after.WindowUnique != before.WindowUnique ||
+		after.WindowWeight != before.WindowWeight || after.StatementsIngested != before.StatementsIngested {
+		t.Errorf("oversized ingest changed the window: before %+v, after %+v", before, after)
+	}
+}
+
 // TestConcurrentIngestAndRetune exercises the concurrent path end to end
 // under -race: parallel ingestion while retunes and drift checks run.
 func TestConcurrentIngestAndRetune(t *testing.T) {
